@@ -7,7 +7,7 @@
 //! by exact integer comparison), while `Json::Num` covers everything else.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// A JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -91,47 +91,37 @@ impl Json {
 
     // -- writer -------------------------------------------------------------
 
-    fn write(&self, out: &mut String) {
+    /// Write the compact serialization into any [`fmt::Write`] sink: a
+    /// `String`, a `Formatter`, or an I/O adapter. `Display` and the trace
+    /// exporters both go through here, so no intermediate `String` is built.
+    pub(crate) fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::UInt(u) => write!(out, "{u}"),
             Json::Num(f) => {
                 if f.is_finite() {
                     // Shortest representation that round-trips through f64.
-                    let _ = write!(out, "{f}");
                     // `{}` on an integral f64 prints without a decimal point;
                     // that is still valid JSON, leave as-is.
+                    write!(out, "{f}")
                 } else {
                     // JSON has no Inf/NaN; export as null like serde_json.
-                    out.push_str("null");
+                    out.write_str("null")
                 }
             }
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write_to(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
+            Json::Obj(fields) => write_fields(out, fields),
         }
     }
 
@@ -153,31 +143,51 @@ impl Json {
     }
 }
 
-impl std::fmt::Display for Json {
+impl fmt::Display for Json {
     /// Compact JSON serialization (`to_string()` comes with it).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Write `fields` as a JSON object: `{"k":v,...}`, keys in slice order.
+pub(crate) fn write_fields<W: fmt::Write>(out: &mut W, fields: &[(String, Json)]) -> fmt::Result {
+    out.write_char('{')?;
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
         }
+        write_escaped(out, k)?;
+        out.write_char(':')?;
+        v.write_to(out)?;
     }
-    out.push('"');
+    out.write_char('}')
+}
+
+/// Write `s` as a quoted JSON string literal.
+pub(crate) fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    // Copy runs of characters that need no escape in one call.
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        let esc = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            c if (c as u32) < 0x20 => None,
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        match esc {
+            Some(esc) => out.write_str(esc)?,
+            None => write!(out, "\\u{:04x}", c as u32)?,
+        }
+        run = i + c.len_utf8();
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// Parse failure with byte offset.
@@ -470,6 +480,36 @@ mod tests {
         for text in ["", "{", "[1,", "tru", "\"abc", "{\"a\" 1}", "1 2"] {
             assert!(Json::parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    /// The run-copying escaper against a char-at-a-time reference.
+    #[test]
+    fn escaping_matches_per_char_reference() {
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        const CHARS: &[char] = &[
+            'a', 'Z', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', 'é', '😀',
+        ];
+        dynmpi_testkit::check("json_escape_reference", |rng| {
+            let s: String = (0..rng.range_usize(0, 16))
+                .map(|_| CHARS[rng.range_usize(0, CHARS.len())])
+                .collect();
+            assert_eq!(Json::Str(s.clone()).to_string(), reference(&s));
+        });
     }
 
     #[test]

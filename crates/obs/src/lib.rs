@@ -29,7 +29,8 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-use std::io;
+use std::fs::File;
+use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -55,11 +56,11 @@ pub use trace::{
 
 #[derive(Default)]
 struct RecorderInner {
-    /// Flushed rank buffers tagged with a global absorb-order sequence
-    /// number; sorted on read (see [`Recorder::events`]).
-    events: Vec<(u64, TraceEvent)>,
-    /// Next absorb-order sequence number.
-    next_seq: u64,
+    /// Flushed rank buffers, appended in absorb order and sorted in place
+    /// on the next read (see [`Recorder::with_events`]).
+    events: Vec<TraceEvent>,
+    /// `events` is in canonical order: set by a read, cleared by an absorb.
+    sorted: bool,
     /// One metrics snapshot per rank (last flush wins per rank).
     snapshots: Vec<(usize, Snapshot)>,
     /// Streaming subscribers; cloned into each rank scope at install.
@@ -132,16 +133,14 @@ impl Recorder {
 
     pub(crate) fn absorb(&self, rank: usize, events: Vec<TraceEvent>, snapshot: Snapshot) {
         let mut inner = self.locked();
-        for ev in events {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.events.push((seq, ev));
-        }
+        inner.events.extend(events);
+        inner.sorted = false;
         inner.snapshots.retain(|(r, _)| *r != rank);
         inner.snapshots.push((rank, snapshot));
     }
 
-    /// All flushed events, in the canonical trace order.
+    /// Run `f` over all flushed events, borrowed in the canonical trace
+    /// order — no copy of the log is made.
     ///
     /// **Ordering contract:** events are sorted by
     /// `(ts_ns, rank, emission seq)` — virtual timestamp first, rank as the
@@ -154,10 +153,29 @@ impl Recorder {
     /// thread flush interleaving. Exporters ([`chrome_trace`](export::chrome_trace),
     /// [`jsonl`](export::jsonl)) and the [`analysis`] module consume this
     /// order as-is and never re-sort.
+    ///
+    /// The log is kept as one buffer in absorb order and sorted in place,
+    /// lazily, by a *stable* sort on `(ts_ns, rank)`. Stability is what
+    /// supplies the final tie-break: equal keys keep absorb order, and
+    /// within one rank absorb order is emission order (a rank's flushes
+    /// append in sequence). A read after further absorbs re-sorts the
+    /// sorted prefix plus the new tail, which keeps the same property.
+    ///
+    /// The recorder stays locked while `f` runs: `f` must not call back
+    /// into this recorder, and ranks flushing meanwhile wait for it.
+    pub fn with_events<R>(&self, f: impl FnOnce(&[TraceEvent]) -> R) -> R {
+        let mut inner = self.locked();
+        if !inner.sorted {
+            inner.events.sort_by_key(|e| (e.ts_ns(), e.rank()));
+            inner.sorted = true;
+        }
+        f(&inner.events)
+    }
+
+    /// A copy of all flushed events, in the canonical trace order (see
+    /// [`with_events`](Recorder::with_events), which borrows instead).
     pub fn events(&self) -> Vec<TraceEvent> {
-        let mut events = self.locked().events.clone();
-        events.sort_by_key(|(seq, e)| (e.ts_ns(), e.rank(), *seq));
-        events.into_iter().map(|(_, e)| e).collect()
+        self.with_events(<[TraceEvent]>::to_vec)
     }
 
     /// Per-rank metric snapshots, sorted by rank.
@@ -178,27 +196,31 @@ impl Recorder {
 
     /// Chrome `trace_event` JSON document of everything recorded so far.
     pub fn chrome_trace(&self) -> String {
-        export::chrome_trace(&self.events())
+        self.with_events(export::chrome_trace)
     }
 
     /// JSONL stream of everything recorded so far.
     pub fn jsonl(&self) -> String {
-        export::jsonl(&self.events())
+        self.with_events(export::jsonl)
     }
 
     /// Run the [`analysis`] pass over everything recorded so far.
     pub fn profile(&self) -> analysis::ProfileReport {
-        analysis::analyze(&self.events())
+        self.with_events(analysis::analyze)
     }
 
-    /// Write the Chrome trace to `path`.
+    /// Write the Chrome trace to `path`, streamed event by event.
     pub fn write_chrome_trace(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.chrome_trace())
+        let mut file = BufWriter::new(File::create(path)?);
+        self.with_events(|evs| export::write_chrome_trace(&mut file, evs))?;
+        file.flush()
     }
 
-    /// Write the JSONL stream to `path`.
+    /// Write the JSONL stream to `path`, streamed event by event.
     pub fn write_jsonl(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        std::fs::write(path, self.jsonl())
+        let mut file = BufWriter::new(File::create(path)?);
+        self.with_events(|evs| export::write_jsonl(&mut file, evs))?;
+        file.flush()
     }
 
     /// Write the merged metrics report (JSON) to `path`, including the
@@ -264,6 +286,56 @@ mod tests {
         // Rank 0 sorts before rank 1 at equal ts, even though it flushed
         // later; within rank 1 the emission order is preserved.
         assert_eq!(names, vec!["third", "first", "second"]);
+    }
+
+    /// The lazy in-place sort, interleaved with absorbs, must yield exactly
+    /// the `(ts_ns, rank, absorb seq)` order at every read.
+    #[test]
+    fn lazy_sort_matches_absorb_seq_oracle_across_interleaved_reads() {
+        use dynmpi_testkit::{check_n, Rng};
+
+        fn flush(rng: &mut Rng, rank: usize, tag: &str) -> Vec<TraceEvent> {
+            // A narrow timestamp range forces colliding `(ts_ns, rank)` keys.
+            rng.vec_in(0, 12, |r| TraceEvent::Instant {
+                cat: "comm",
+                name: format!("{tag}-{}", r.next_u64()),
+                rank,
+                ts_ns: r.range_u64(0, 6),
+                args: vec![],
+            })
+        }
+
+        check_n("recorder_lazy_sort_oracle", 128, |rng| {
+            let rec = Recorder::new();
+            let mut absorbed: Vec<TraceEvent> = Vec::new();
+            let mut absorb = |rank: usize, events: Vec<TraceEvent>| {
+                absorbed.extend(events.iter().cloned());
+                rec.absorb(rank, events, Snapshot::default());
+                // Oracle: sort by (ts_ns, rank, absorb seq) with explicit seqs.
+                let mut keyed: Vec<(usize, &TraceEvent)> = absorbed.iter().enumerate().collect();
+                keyed.sort_by_key(|(seq, e)| (e.ts_ns(), e.rank(), *seq));
+                keyed
+                    .into_iter()
+                    .map(|(_, e)| e.clone())
+                    .collect::<Vec<_>>()
+            };
+
+            absorb(1, flush(rng, 1, "r1"));
+            let oracle = absorb(0, flush(rng, 0, "r0a"));
+            assert_eq!(rec.events(), oracle, "first read");
+
+            absorb(2, flush(rng, 2, "r2"));
+            let oracle = absorb(0, flush(rng, 0, "r0b"));
+            assert_eq!(rec.events(), oracle, "read after more absorbs");
+
+            // Reads borrow the one buffer: no hidden copy per call. The
+            // block a per-call copy would free is taken in between, so a
+            // copy could not land at the same address twice.
+            let a = rec.with_events(|evs| evs.as_ptr());
+            let _taken: Vec<TraceEvent> = Vec::with_capacity(absorbed.len());
+            let b = rec.with_events(|evs| evs.as_ptr());
+            assert_eq!(a, b);
+        });
     }
 
     #[test]
