@@ -8,10 +8,11 @@
 //! partition, crash handling must be *bit*-invisible to the engine mode
 //! and the shard count, like every other output.
 
-use dynmpi::{DropPolicy, DynMpiConfig};
-use dynmpi_apps::harness::run_sim;
+use dynmpi::{DropPolicy, DynMpiConfig, RuntimeEvent, CKPT_REFRESHES, CKPT_REFRESH_TIMEOUTS};
+use dynmpi_apps::harness::{run_sim, run_sim_with};
 use dynmpi_apps::jacobi::JacobiParams;
 use dynmpi_apps::{AppSpec, Experiment, SimRunResult};
+use dynmpi_obs::Recorder;
 use dynmpi_sim::{LoadScript, NodeSpec, SimTime};
 
 /// Failure-path configuration for the small test scenarios: quick
@@ -188,6 +189,71 @@ fn jacobi_partition_recovers_like_a_crash() {
     assert!(
         checksums_close(out.checksum(), baseline.checksum()),
         "{:?} vs {:?}",
+        out.checksum(),
+        baseline.checksum()
+    );
+}
+
+/// Buddy refreshes whose payload takes longer to cross the wire than
+/// the peer timeout: 48 rows × 192 doubles (74 KB) per array per rank
+/// need 5.9 ms at 12.5 MB/s against a 5 ms timeout, on nodes fast
+/// enough that the wait is not hidden behind the sender's own compute.
+/// The mirror wait must treat that as a slow live predecessor, not a
+/// dead one: a crash-free run gives no mirror up, and because every
+/// survivor then holds a current mirror, a second crash long after the
+/// first recovery is recovered from too.
+#[test]
+fn slow_refresh_payloads_keep_current_mirrors() {
+    let p = JacobiParams::small(192, 600);
+    let cfg = DynMpiConfig {
+        peer_timeout_seconds: 0.005,
+        ..crash_cfg()
+    };
+    let exp = |script: LoadScript| {
+        jacobi_exp(&p, 4, script)
+            .with_node_spec(NodeSpec::ultra5_360())
+            .with_cfg(cfg.clone())
+    };
+
+    let rec = Recorder::new();
+    let baseline = run_sim_with(&exp(LoadScript::dedicated()), Some(rec.clone()));
+    let metrics = rec.merged_metrics();
+    assert!(
+        metrics.counter(CKPT_REFRESHES) > 4 * 10,
+        "mirrors never cycled"
+    );
+    assert_eq!(
+        metrics.counter(CKPT_REFRESH_TIMEOUTS),
+        0,
+        "a live predecessor's mirror was given up"
+    );
+
+    // Monitors publish once per virtual second, so a death reads dead
+    // from the next whole second: node 2 dies at 0.3 s and is recovered
+    // just after 1 s; node 1 dies at 1.5 s, a few hundred cycles later.
+    assert!(baseline.makespan > 2.0, "run ends before the second death");
+    let script = LoadScript::dedicated()
+        .node_crash(SimTime::from_secs_f64(0.3), 2)
+        .node_crash(SimTime::from_secs_f64(1.5), 1);
+    let out = run_sim(&exp(script));
+    let recovered: Vec<usize> = out
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            RuntimeEvent::NodeRecovered { node, .. } => Some(*node),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(recovered, vec![2, 1], "both deaths recovered, in order");
+    for dead in [1, 2] {
+        assert!(!out.per_rank[dead].participating, "rank {dead} crashed");
+    }
+    for r in [0, 3] {
+        assert!(out.per_rank[r].participating, "survivor {r} must finish");
+    }
+    assert!(
+        checksums_close(out.checksum(), baseline.checksum()),
+        "second recovery changed the answer: {:?} vs {:?}",
         out.checksum(),
         baseline.checksum()
     );

@@ -352,6 +352,7 @@ fn main() {
     let ckpt_metrics = ckpt_rec.merged_metrics();
     let ckpt_refreshes = ckpt_metrics.counter(dynmpi::CKPT_REFRESHES);
     let ckpt_bytes = ckpt_metrics.counter(dynmpi::CKPT_BYTES_SENT);
+    let ckpt_given_up = ckpt_metrics.counter(dynmpi::CKPT_REFRESH_TIMEOUTS);
     // Virtual, not wall: the refresh traffic is simulated communication,
     // so the ratio is exactly reproducible on any machine.
     let ckpt_overhead = guarded.makespan / bare.makespan;
@@ -471,6 +472,13 @@ fn main() {
         ckpt_refreshes > 0 && ckpt_bytes > 0,
         "fault-path run recorded no checkpoint refreshes ({ckpt_refreshes}) or \
          bytes ({ckpt_bytes}) — the mirrors never cycled"
+    );
+    // Bytes sent do not prove a mirror was kept: on this crash-free run
+    // every predecessor is alive, so no refresh may give its mirror up.
+    assert!(
+        ckpt_given_up == 0,
+        "crash-free fault-path run gave up {ckpt_given_up} of {ckpt_refreshes} \
+         mirrors — a live predecessor's checkpoint was abandoned"
     );
     assert!(
         ckpt_overhead < 1.25,

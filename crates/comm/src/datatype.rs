@@ -54,9 +54,10 @@ impl_pod! {
 }
 
 /// Appends the byte image of `data` to `out` without clearing it — the
-/// primitive under [`to_bytes_into`] and the framed-message builders in
-/// `ops.rs`.
-pub(crate) fn append_bytes<P: Pod>(data: &[P], out: &mut Vec<u8>) {
+/// primitive under [`to_bytes_into`], the framed-message builders in
+/// `ops.rs`, and the row packers that serialize straight into one
+/// outgoing payload.
+pub fn append_bytes<P: Pod>(data: &[P], out: &mut Vec<u8>) {
     let len = std::mem::size_of_val(data);
     let old = out.len();
     out.reserve(len);

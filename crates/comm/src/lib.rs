@@ -30,7 +30,8 @@ mod thread;
 mod transport;
 
 pub use datatype::{
-    from_bytes, from_bytes_into, to_bytes, to_bytes_into, write_bytes_at, Pod, BYTES_COPIED,
+    append_bytes, from_bytes, from_bytes_into, to_bytes, to_bytes_into, write_bytes_at, Pod,
+    BYTES_COPIED,
 };
 pub use group::Group;
 pub use ops::{CommOps, COLL_LARGE_THRESHOLD, LARGE_ALGO_MIN_RANKS};

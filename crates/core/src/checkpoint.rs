@@ -21,7 +21,7 @@
 //! dead node in the recovery redistribution
 //! ([`crate::redist::execute_recovery`]).
 
-use dynmpi_comm::{Group, Transport};
+use dynmpi_comm::{Group, HostMeters};
 use dynmpi_obs as obs;
 
 use crate::array::RedistArray;
@@ -30,7 +30,7 @@ use crate::rowset::RowSet;
 
 /// Checkpoint traffic tag space (above the move/ghost/runtime tags).
 /// Refresh payload tags are salted with the refresh epoch so a payload
-/// from a refresh that some rank skipped on a timeout can never be
+/// whose receiver gave it up (its sender read dead) can never be
 /// mistaken for the next refresh's payload (it stays unconsumed).
 const TAG_CKPT: u64 = (1 << 33) + 0x50_0000;
 
@@ -49,8 +49,8 @@ pub const CKPT_REFRESHES: &str = "ckpt.refreshes";
 /// Counter: payload bytes this rank sent into buddy mirrors.
 pub const CKPT_BYTES_SENT: &str = "ckpt.bytes_sent";
 
-/// Counter: refreshes whose mirror receive timed out (the predecessor
-/// died mid-refresh); the previous mirror is kept.
+/// Counter: refreshes whose mirror receive was given up because the
+/// predecessor's monitor read dead; the previous mirror is kept.
 pub const CKPT_REFRESH_TIMEOUTS: &str = "ckpt.refresh_timeouts";
 
 /// One node's snapshot: per-array `(rows, packed payload)`.
@@ -68,8 +68,8 @@ struct Generation {
 }
 
 /// The mirror of the ring predecessor, stamped with the generation it
-/// completed in. A refresh whose mirror receive times out keeps the
-/// previous mirror *and its older stamp* — that stamp is what tells the
+/// completed in. A refresh that gives its mirror up (predecessor read
+/// dead) keeps the previous mirror *and its older stamp* — that stamp is what tells the
 /// recovery which generation is actually restorable.
 struct Mirror {
     of: usize,
@@ -116,8 +116,8 @@ impl BuddyCheckpoint {
     }
 
     /// Application cycle the held mirror's data corresponds to — older
-    /// than [`Self::app_cycle`] when the last refresh's mirror receive
-    /// timed out.
+    /// than [`Self::app_cycle`] when the last refresh gave its mirror up
+    /// on a predecessor that read dead.
     pub fn mirror_app_cycle(&self) -> Option<u64> {
         self.mirror.as_ref().map(|m| m.app_cycle)
     }
@@ -140,12 +140,17 @@ impl BuddyCheckpoint {
     /// recovery resumes from that cycle.
     ///
     /// `recv_timeout` (seconds) guards the mirror receive so a
-    /// predecessor that died mid-refresh cannot hang the collective: on
-    /// a timeout the previous mirror is kept (its row sets may be stale
-    /// if a redistribution happened since — the narrow window DESIGN.md
-    /// §14 documents). `None` = plain blocking receive.
+    /// predecessor that died mid-refresh cannot hang the collective. A
+    /// bare timeout only re-arms the wait — a live predecessor's payload
+    /// may simply take longer than the timeout to cross the wire, and
+    /// abandoning it would leave no current mirror anywhere. The mirror
+    /// is given up only on the detector's evidence of death, the
+    /// predecessor's monitor reading dead (`dmpi_ps == 0`); the previous
+    /// mirror is then kept (its row sets may be stale if a
+    /// redistribution happened since — the narrow window DESIGN.md §14
+    /// documents). `None` = plain blocking receive.
     #[allow(clippy::too_many_arguments)]
-    pub fn refresh<T: Transport>(
+    pub fn refresh<T: HostMeters>(
         &mut self,
         t: &T,
         me: usize,
@@ -195,16 +200,20 @@ impl BuddyCheckpoint {
             }
             let mut mirror: Snapshot = Vec::with_capacity(arrays.len());
             let mut complete = true;
-            for ai in 0..arrays.len() {
+            'arrays: for ai in 0..arrays.len() {
+                let tag = ckpt_tag(epoch, ai);
                 let payload = match recv_timeout {
-                    Some(secs) => match t.recv_bytes_timeout(pred, ckpt_tag(epoch, ai), secs) {
-                        Ok(p) => p,
-                        Err(_) => {
-                            complete = false;
-                            break;
+                    Some(secs) => loop {
+                        match t.recv_bytes_timeout(pred, tag, secs) {
+                            Ok(p) => break p,
+                            Err(_) if t.dmpi_ps(pred) == 0 => {
+                                complete = false;
+                                break 'arrays;
+                            }
+                            Err(_) => continue,
                         }
                     },
-                    None => t.recv_bytes(pred, ckpt_tag(epoch, ai)),
+                    None => t.recv_bytes(pred, tag),
                 };
                 mirror.push((pred_rows.clone(), payload));
             }
@@ -298,7 +307,9 @@ impl BuddyCheckpoint {
 mod tests {
     use super::*;
     use crate::dense::DenseMatrix;
-    use dynmpi_comm::run_threads;
+    use dynmpi_comm::{run_threads, PeerTimeout, ThreadTransport, Transport};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn ring_mirrors_predecessor_and_restores() {
@@ -371,13 +382,70 @@ mod tests {
         });
     }
 
+    /// Thread transport whose monitor reads rank `r` dead once `dead[r]`
+    /// is set — the evidence the mirror wait gives a payload up on.
+    struct Monitored<'x> {
+        inner: &'x ThreadTransport,
+        dead: Arc<Vec<AtomicBool>>,
+    }
+
+    impl Transport for Monitored<'_> {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+        fn size(&self) -> usize {
+            self.inner.size()
+        }
+        fn send_bytes(&self, dst: usize, tag: u64, payload: Vec<u8>) {
+            self.inner.send_bytes(dst, tag, payload);
+        }
+        fn recv_bytes(&self, src: usize, tag: u64) -> Vec<u8> {
+            self.inner.recv_bytes(src, tag)
+        }
+        fn recv_bytes_any(&self, tag: u64) -> (usize, Vec<u8>) {
+            self.inner.recv_bytes_any(tag)
+        }
+        fn recv_bytes_timeout(
+            &self,
+            src: usize,
+            tag: u64,
+            timeout_seconds: f64,
+        ) -> Result<Vec<u8>, PeerTimeout> {
+            self.inner.recv_bytes_timeout(src, tag, timeout_seconds)
+        }
+        fn wtime(&self) -> f64 {
+            self.inner.wtime()
+        }
+    }
+
+    impl HostMeters for Monitored<'_> {
+        fn dmpi_ps(&self, r: usize) -> u32 {
+            u32::from(!self.dead[r].load(Ordering::SeqCst))
+        }
+        fn proc_cpu_seconds(&self) -> f64 {
+            self.inner.wtime()
+        }
+        fn proc_tick_seconds(&self) -> f64 {
+            0.0
+        }
+    }
+
+    fn dead_flags(n: usize) -> Arc<Vec<AtomicBool>> {
+        Arc::new((0..n).map(|_| AtomicBool::new(false)).collect())
+    }
+
     /// The masked-death window: a second refresh runs while one member is
     /// already dead. Its buddy keeps the older mirror (with the older
     /// stamp), and the *previous* own-row generation restores data
     /// consistent with that stamp on every survivor.
     #[test]
     fn timed_out_refresh_keeps_previous_generation_consistent() {
-        let out = run_threads(3, move |t| {
+        let dead = dead_flags(3);
+        let out = run_threads(3, move |tt| {
+            let t = &Monitored {
+                inner: tt,
+                dead: Arc::clone(&dead),
+            };
             let me = t.rank();
             let g = Group::world(me, 3);
             let d = Distribution::block_from_counts(&[2, 2, 2]);
@@ -388,13 +456,15 @@ mod tests {
                 let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
                 ckpt.refresh(t, me, &g, &d, &mut arrays, 3, None);
             }
-            // Rank 1 "dies": it skips the second refresh entirely. Rank 2
-            // (its buddy) times out on the mirror receive — emulated with
-            // a zero-second timeout it is guaranteed to hit because rank 1
-            // never sends an epoch-2 payload (the epoch-salted tag makes
-            // the old payload unmatchable).
+            // Rank 1 dies: its monitor reads dead and it skips the second
+            // refresh entirely. Rank 2 (its buddy) times out on the mirror
+            // receive — rank 1 never sends an epoch-2 payload (the
+            // epoch-salted tag makes the old payload unmatchable) — and
+            // gives the mirror up once the monitor reads rank 1 dead.
             m.fill_rows(&d.rows_of(me), |i, _| 100.0 + i as f64);
-            if me != 1 {
+            if me == 1 {
+                dead[1].store(true, Ordering::SeqCst);
+            } else {
                 let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
                 let timeout = if me == 2 { Some(0.05) } else { None };
                 ckpt.refresh(t, me, &g, &d, &mut arrays, 7, timeout);
@@ -422,5 +492,40 @@ mod tests {
             ckpt.epoch()
         });
         assert_eq!(out, vec![2, 1, 2]);
+    }
+
+    /// The evidence rule: a live predecessor whose payload takes longer
+    /// than the timeout to arrive is waited for, not abandoned — the
+    /// refresh completes with a current mirror and no timeout is counted.
+    #[test]
+    fn slow_live_predecessor_is_waited_for() {
+        let rec = obs::Recorder::new();
+        let sink = rec.clone();
+        let dead = dead_flags(3);
+        let out = run_threads(3, move |tt| {
+            let _scope = sink.install(tt.rank());
+            let t = &Monitored {
+                inner: tt,
+                dead: Arc::clone(&dead),
+            };
+            let me = t.rank();
+            let g = Group::world(me, 3);
+            let d = Distribution::block_from_counts(&[2, 2, 2]);
+            let mut m = DenseMatrix::<f64>::new(6, 1);
+            m.fill_rows(&d.rows_of(me), |i, _| i as f64);
+            if me == 1 {
+                // Several of rank 2's timeouts elapse before this send.
+                std::thread::sleep(std::time::Duration::from_millis(60));
+            }
+            let mut ckpt = BuddyCheckpoint::new();
+            let mut arrays: Vec<&mut dyn RedistArray> = vec![&mut m];
+            let timeout = if me == 2 { Some(0.01) } else { None };
+            ckpt.refresh(t, me, &g, &d, &mut arrays, 5, timeout);
+            (ckpt.holds_mirror_of(), ckpt.mirror_app_cycle())
+        });
+        assert_eq!(out[2], (Some(1), Some(5)));
+        let metrics = rec.merged_metrics();
+        assert_eq!(metrics.counter(CKPT_REFRESHES), 3);
+        assert_eq!(metrics.counter(CKPT_REFRESH_TIMEOUTS), 0);
     }
 }

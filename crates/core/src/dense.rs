@@ -14,7 +14,7 @@
 
 use std::any::Any;
 
-use dynmpi_comm::{from_bytes, to_bytes, Pod};
+use dynmpi_comm::{append_bytes, write_bytes_at, Pod};
 
 use crate::array::{AllocStats, RedistArray};
 use crate::rowset::RowSet;
@@ -119,6 +119,11 @@ impl<P: Pod> DenseMatrix<P> {
         assert_eq!(data.len(), self.row_len, "row length mismatch");
         self.row_mut(i).copy_from_slice(data);
     }
+
+    /// Exact wire size of one extended row.
+    fn row_bytes(&self) -> usize {
+        self.row_len * std::mem::size_of::<P>()
+    }
 }
 
 impl<P: Pod> RedistArray for DenseMatrix<P> {
@@ -130,32 +135,33 @@ impl<P: Pod> RedistArray for DenseMatrix<P> {
         DenseMatrix::alloc_rows(self, rows);
     }
 
+    // One copy each way: every row's bytes go straight into (out of) the
+    // payload, with no intermediate element vector.
     fn pack_rows(&mut self, rows: &RowSet, take: bool) -> Vec<u8> {
-        let mut flat: Vec<P> = Vec::with_capacity(rows.len() * self.row_len);
+        let mut out = Vec::with_capacity(rows.len() * self.row_bytes());
         for i in rows.iter() {
             let row = self.rows[i]
                 .as_deref()
                 .unwrap_or_else(|| panic!("packing absent row {i}"));
-            flat.extend_from_slice(row);
+            append_bytes(row, &mut out);
             if take {
                 self.rows[i] = None;
             }
         }
-        to_bytes(&flat)
+        out
     }
 
     fn unpack_rows(&mut self, rows: &RowSet, bytes: &[u8]) {
-        let flat: Vec<P> = from_bytes(bytes);
+        let row_bytes = self.row_bytes();
         assert_eq!(
-            flat.len(),
-            rows.len() * self.row_len,
+            bytes.len(),
+            rows.len() * row_bytes,
             "payload does not match {} rows × {}",
             rows.len(),
             self.row_len
         );
-        for (k, i) in rows.iter().enumerate() {
-            let src = &flat[k * self.row_len..(k + 1) * self.row_len];
-            self.set_row(i, src);
+        for (i, src) in rows.iter().zip(bytes.chunks_exact(row_bytes)) {
+            write_bytes_at(self.row_mut(i), 0, src);
         }
     }
 
@@ -174,7 +180,7 @@ impl<P: Pod> RedistArray for DenseMatrix<P> {
     }
 
     fn row_bytes_estimate(&self) -> usize {
-        self.row_len * std::mem::size_of::<P>()
+        self.row_bytes()
     }
 
     fn alloc_stats(&self) -> AllocStats {
@@ -278,6 +284,7 @@ impl<P: Pod> ContiguousMatrix<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynmpi_comm::to_bytes;
 
     #[test]
     fn alloc_and_access() {

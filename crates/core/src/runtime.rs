@@ -2051,8 +2051,27 @@ mod tests {
     use crate::dense::DenseMatrix;
     use crate::drsd::Drsd;
     use dynmpi_comm::{run_threads, ThreadTransport, Transport};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::Arc;
+
+    thread_local! {
+        /// This rank thread's CPU clock: the work its runtime charged.
+        static CPU_SECONDS: Cell<f64> = const { Cell::new(0.0) };
+    }
+
+    /// The test transports' `/proc` reading counts exactly the charged
+    /// work (1 µs per work unit), like a real node's CPU accounting. A
+    /// wall-clock stand-in would turn the grace period's per-row weights
+    /// into scheduling noise: one descheduled row outweighs all the
+    /// others and skews every weighted partition.
+    fn charge_cpu(work: f64) {
+        CPU_SECONDS.with(|c| c.set(c.get() + work * 1e-6));
+    }
+
+    fn cpu_seconds() -> f64 {
+        CPU_SECONDS.with(Cell::get)
+    }
 
     /// Thread transport with test-controlled `dmpi_ps` readings, so the
     /// adaptation paths can be exercised without the simulator.
@@ -2080,6 +2099,9 @@ mod tests {
         fn wtime(&self) -> f64 {
             self.inner.wtime()
         }
+        fn compute(&self, work: f64) {
+            charge_cpu(work);
+        }
     }
 
     impl HostMeters for FakeLoad<'_> {
@@ -2087,7 +2109,7 @@ mod tests {
             self.loads[r].load(Ordering::Relaxed) + 1
         }
         fn proc_cpu_seconds(&self) -> f64 {
-            self.inner.wtime()
+            cpu_seconds()
         }
         fn proc_tick_seconds(&self) -> f64 {
             0.0
@@ -2121,6 +2143,9 @@ mod tests {
         fn wtime(&self) -> f64 {
             self.inner.wtime()
         }
+        fn compute(&self, work: f64) {
+            charge_cpu(work);
+        }
     }
 
     impl HostMeters for FakeArrival<'_> {
@@ -2131,7 +2156,7 @@ mod tests {
             self.online[r].load(Ordering::Relaxed)
         }
         fn proc_cpu_seconds(&self) -> f64 {
-            self.inner.wtime()
+            cpu_seconds()
         }
         fn proc_tick_seconds(&self) -> f64 {
             0.0
@@ -2730,15 +2755,18 @@ mod tests {
     /// Like [`FakeLoad`] but with fail-stop switches for the detector and
     /// recovery paths. A `downed` node's monitor reads raw 0, its own
     /// sends are dropped, and timeout-guarded receives touching it (from
-    /// it, or issued by it) fail immediately — the thread-world analogue
-    /// of a dead NIC. A `stalled` node's timeout-guarded receives *from*
-    /// it fail too, but its monitor stays alive: the overloaded-not-dead
-    /// case the detector must never confirm.
+    /// it, or issued by it) fail once nothing it sent before going down
+    /// is left to deliver — the thread-world analogue of a dead NIC. A
+    /// `stalled` node's control samples fail to arrive in time even when
+    /// already sent, but its monitor stays alive: the overloaded-not-dead
+    /// case the detector must never confirm. `stalls` counts the samples
+    /// that stalled.
     struct FakeCrash<'x> {
         inner: &'x ThreadTransport,
         loads: Arc<Vec<AtomicU32>>,
         downed: Arc<Vec<AtomicBool>>,
         stalled: Arc<Vec<AtomicBool>>,
+        stalls: Arc<AtomicU32>,
     }
 
     impl FakeCrash<'_> {
@@ -2774,26 +2802,36 @@ mod tests {
             // Poll until either a matching message is delivered or the
             // peer's fault switch flips — the fault switch plays the role
             // of the elapsed wall-clock timeout, so tests are free of
-            // real-time races: a receive from a faulty peer *always*
-            // times out, a receive from a healthy one *never* does.
+            // real-time races: a receive from a faulty peer times out, a
+            // receive from a healthy one *never* does. A crash does not
+            // retract what the peer sent before it: the switch is read
+            // *before* polling, so everything sent ahead of the flip is
+            // already in the inbox and is delivered first.
+            let timeout = dynmpi_comm::PeerTimeout {
+                src: Some(src),
+                tag,
+            };
+            let sample = tag >= TAG_CTRL_UP && (tag - TAG_CTRL_UP) % 4 == 0;
             loop {
-                if self.down(src)
-                    || self.down(self.rank())
-                    || self.stalled[src].load(Ordering::SeqCst)
-                {
-                    return Err(dynmpi_comm::PeerTimeout {
-                        src: Some(src),
-                        tag,
-                    });
+                if sample && self.stalled[src].load(Ordering::SeqCst) {
+                    self.stalls.fetch_add(1, Ordering::SeqCst);
+                    return Err(timeout);
                 }
+                let faulty = self.down(src) || self.down(self.rank());
                 if let Some(p) = self.inner.try_recv_bytes(src, tag) {
                     return Ok(p);
+                }
+                if faulty {
+                    return Err(timeout);
                 }
                 std::thread::yield_now();
             }
         }
         fn wtime(&self) -> f64 {
             self.inner.wtime()
+        }
+        fn compute(&self, work: f64) {
+            charge_cpu(work);
         }
     }
 
@@ -2809,7 +2847,7 @@ mod tests {
             }
         }
         fn proc_cpu_seconds(&self) -> f64 {
-            self.inner.wtime()
+            cpu_seconds()
         }
         fn proc_tick_seconds(&self) -> f64 {
             0.0
@@ -2835,11 +2873,13 @@ mod tests {
         Arc<Vec<AtomicU32>>,
         Arc<Vec<AtomicBool>>,
         Arc<Vec<AtomicBool>>,
+        Arc<AtomicU32>,
     ) {
         (
             Arc::new((0..n).map(|_| AtomicU32::new(0)).collect()),
             Arc::new((0..n).map(|_| AtomicBool::new(false)).collect()),
             Arc::new((0..n).map(|_| AtomicBool::new(false)).collect()),
+            Arc::new(AtomicU32::new(0)),
         )
     }
 
@@ -2898,13 +2938,14 @@ mod tests {
     #[test]
     fn crash_is_confirmed_and_recovered_from_buddy() {
         let steps = 16u64;
-        let (loads, downed, stalled) = fault_switches(4);
+        let (loads, downed, stalled, stalls) = fault_switches(4);
         let outs = run_threads(4, move |tt| {
             let t = FakeCrash {
                 inner: tt,
                 loads: Arc::clone(&loads),
                 downed: Arc::clone(&downed),
                 stalled: Arc::clone(&stalled),
+                stalls: Arc::clone(&stalls),
             };
             let (rt, m, rollbacks) = drive_with_rollback(&t, 40, steps, Some((2, 6)))?;
             // Every surviving row carries the full increment count plus
@@ -2948,7 +2989,8 @@ mod tests {
     #[test]
     fn overloaded_stall_is_never_confirmed() {
         let steps = 14u64;
-        let (loads, downed, stalled) = fault_switches(3);
+        let (loads, downed, stalled, stalls) = fault_switches(3);
+        let stalled_samples = Arc::clone(&stalls);
         let outs = run_threads(3, move |tt| {
             let stalled = Arc::clone(&stalled);
             let t = FakeCrash {
@@ -2956,6 +2998,7 @@ mod tests {
                 loads: Arc::clone(&loads),
                 downed: Arc::clone(&downed),
                 stalled: Arc::clone(&stalled),
+                stalls: Arc::clone(&stalls),
             };
             let mut rt = DynMpi::init(&t, 30, crash_cfg());
             let a = rt.register_dense("A", 30);
@@ -3002,6 +3045,10 @@ mod tests {
             assert_eq!(na, 3);
             assert!(p);
         }
+        assert!(
+            stalled_samples.load(Ordering::SeqCst) > 0,
+            "rank 1's samples never stalled"
+        );
     }
 
     /// The other side of a partition: the cut-off rank's own control
@@ -3011,7 +3058,7 @@ mod tests {
     #[test]
     fn partitioned_rank_self_evicts_and_survivors_recover() {
         let steps = 16u64;
-        let (loads, downed, stalled) = fault_switches(4);
+        let (loads, downed, stalled, stalls) = fault_switches(4);
         let outs = run_threads(4, move |tt| {
             let downed = Arc::clone(&downed);
             let t = FakeCrash {
@@ -3019,6 +3066,7 @@ mod tests {
                 loads: Arc::clone(&loads),
                 downed: Arc::clone(&downed),
                 stalled: Arc::clone(&stalled),
+                stalls: Arc::clone(&stalls),
             };
             let mut rt = DynMpi::init(&t, 40, crash_cfg());
             let a = rt.register_dense("A", 40);

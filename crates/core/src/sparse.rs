@@ -9,7 +9,7 @@
 
 use std::any::Any;
 
-use dynmpi_comm::{from_bytes, to_bytes, Pod};
+use dynmpi_comm::{append_bytes, write_bytes_at, Pod};
 
 use crate::array::{AllocStats, RedistArray};
 use crate::rowset::RowSet;
@@ -144,6 +144,33 @@ impl<P: Pod> SparseRow<P> {
             nnz: cols.len(),
         }
     }
+
+    /// Rebuilds a row from its wire sections (`cols`: `u32` × nnz, `vals`:
+    /// `P` × nnz, as [`SparseMatrix`]'s `pack_rows` writes them), decoding
+    /// each element straight into its list node.
+    fn from_wire(cols: &[u8], vals: &[u8]) -> Self {
+        let nnz = cols.len() / 4;
+        let mut head: Option<Box<Node<P>>> = None;
+        for (c, v) in cols
+            .chunks_exact(4)
+            .zip(vals.chunks_exact(std::mem::size_of::<P>()))
+            .rev()
+        {
+            let mut node = Box::new(Node {
+                col: 0,
+                val: P::ZERO,
+                next: head,
+            });
+            write_bytes_at(std::slice::from_mut(&mut node.col), 0, c);
+            write_bytes_at(std::slice::from_mut(&mut node.val), 0, v);
+            debug_assert!(
+                node.next.as_ref().is_none_or(|n| node.col < n.col),
+                "columns must be sorted unique"
+            );
+            head = Some(node);
+        }
+        SparseRow { head, nnz }
+    }
 }
 
 impl<P: Pod> Default for SparseRow<P> {
@@ -266,17 +293,27 @@ impl<P: Pod> RedistArray for SparseMatrix<P> {
         }
     }
 
+    // One copy each way: list elements are written straight into the
+    // payload and decoded straight back into list nodes.
     fn pack_rows(&mut self, rows: &RowSet, take: bool) -> Vec<u8> {
-        let mut out = Vec::new();
+        let elem = 4 + std::mem::size_of::<P>();
+        let len = rows
+            .iter()
+            .map(|i| 8 + self.rows[i].as_ref().map_or(0, |r| r.nnz * elem))
+            .sum();
+        let mut out = Vec::with_capacity(len);
         for i in rows.iter() {
             let row = self.rows[i]
                 .as_ref()
                 .unwrap_or_else(|| panic!("packing absent sparse row {i}"));
-            let (cols, vals) = row.to_vectors();
-            self.stats.bytes_copied += (cols.len() * 4 + std::mem::size_of_val(&vals[..])) as u64;
-            out.extend_from_slice(&(cols.len() as u64).to_le_bytes());
-            out.extend_from_slice(&to_bytes(&cols));
-            out.extend_from_slice(&to_bytes(&vals));
+            self.stats.bytes_copied += (row.nnz * elem) as u64;
+            out.extend_from_slice(&(row.nnz as u64).to_le_bytes());
+            for (c, _) in row.iter() {
+                append_bytes(&[c], &mut out);
+            }
+            for (_, v) in row.iter() {
+                append_bytes(std::slice::from_ref(v), &mut out);
+            }
             if take {
                 self.rows[i] = None;
             }
@@ -300,13 +337,12 @@ impl<P: Pod> RedistArray for SparseMatrix<P> {
                 off + cols_len + vals_len <= bytes.len(),
                 "truncated sparse payload"
             );
-            let cols: Vec<u32> = from_bytes(&bytes[off..off + cols_len]);
-            off += cols_len;
-            let vals: Vec<P> = from_bytes(&bytes[off..off + vals_len]);
-            off += vals_len;
+            let cols = &bytes[off..off + cols_len];
+            let vals = &bytes[off + cols_len..off + cols_len + vals_len];
+            off += cols_len + vals_len;
             self.stats.allocations += 1;
             self.stats.bytes_allocated += (cols_len + vals_len) as u64;
-            self.rows[i] = Some(SparseRow::from_vectors(&cols, &vals));
+            self.rows[i] = Some(SparseRow::from_wire(cols, vals));
         }
         assert_eq!(off, bytes.len(), "sparse payload has trailing bytes");
     }
