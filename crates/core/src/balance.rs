@@ -195,15 +195,21 @@ pub fn successive_balance_with_floor(
     ))
 }
 
-/// [`successive_balance_with_floor`] with the default 50 % participation
-/// floor (matching `DynMpiConfig::default().balance_floor`).
+/// The participation floor every balance uses: successive balancing never
+/// assigns a participating node less than this fraction of its
+/// relative-power share — balancing alone must not idle a node; *removal*
+/// (§4.4) is the separate facility for that.
+pub(crate) const BALANCE_FLOOR: f64 = 0.8;
+
+/// [`successive_balance_with_floor`] with the runtime's 80 %
+/// participation floor.
 pub fn successive_balance(
     row_weights: &[f64],
     loads: &[NodeLoad],
     comm: &CommModel,
     min_rows: usize,
 ) -> Distribution {
-    successive_balance_with_floor(row_weights, loads, comm, min_rows, 0.5)
+    successive_balance_with_floor(row_weights, loads, comm, min_rows, BALANCE_FLOOR)
 }
 
 /// Smallest `T` with `Σ avail_i · max(0, T − pen_i) = W` (water-filling).
@@ -363,6 +369,33 @@ mod tests {
         // With the participation floor the node keeps a small share.
         let df = successive_balance(&w, &loads, &comm, 0);
         assert!(df.counts()[0] > 0, "{:?}", df.counts());
+    }
+
+    #[test]
+    fn default_floor_is_the_runtime_floor() {
+        // A node loaded far past usefulness: the unfloored optimum gives it
+        // nothing, so the result is exactly the floor, and floors of 50 %
+        // and 80 % give different partitions.
+        let loads = [
+            NodeLoad { ncp: 3, speed: 1.0 },
+            NodeLoad::unloaded(1.0),
+            NodeLoad::unloaded(1.0),
+            NodeLoad::unloaded(1.0),
+        ];
+        let comm = CommModel {
+            blocking_recvs_per_cycle: 2.0,
+            quantum: 0.010,
+            wait_factor: 0.5,
+        };
+        let w = vec![0.0001; 1000];
+        let half = successive_balance_with_floor(&w, &loads, &comm, 0, 0.5);
+        let runtime = successive_balance_with_floor(&w, &loads, &comm, 0, BALANCE_FLOOR);
+        assert_ne!(
+            half.counts(),
+            runtime.counts(),
+            "case must tell floors apart"
+        );
+        assert_eq!(successive_balance(&w, &loads, &comm, 0), runtime);
     }
 
     #[test]

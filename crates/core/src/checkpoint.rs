@@ -25,6 +25,7 @@ use dynmpi_comm::{Group, HostMeters};
 use dynmpi_obs as obs;
 
 use crate::array::RedistArray;
+use crate::control::recv_unless_dead;
 use crate::dist::Distribution;
 use crate::rowset::RowSet;
 
@@ -198,30 +199,18 @@ impl BuddyCheckpoint {
                 bytes += payload.len() as u64;
                 t.send_bytes(succ, ckpt_tag(epoch, ai), payload.clone());
             }
-            let mut mirror: Snapshot = Vec::with_capacity(arrays.len());
-            let mut complete = true;
-            'arrays: for ai in 0..arrays.len() {
-                let tag = ckpt_tag(epoch, ai);
-                let payload = match recv_timeout {
-                    Some(secs) => loop {
-                        match t.recv_bytes_timeout(pred, tag, secs) {
-                            Ok(p) => break p,
-                            Err(_) if t.dmpi_ps(pred) == 0 => {
-                                complete = false;
-                                break 'arrays;
-                            }
-                            Err(_) => continue,
-                        }
-                    },
-                    None => t.recv_bytes(pred, tag),
-                };
-                mirror.push((pred_rows.clone(), payload));
-            }
-            if complete {
+            // Stops at the first payload given up on death evidence.
+            let mirror: Option<Snapshot> = (0..arrays.len())
+                .map(|ai| {
+                    recv_unless_dead(t, pred, ckpt_tag(epoch, ai), recv_timeout)
+                        .map(|payload| (pred_rows.clone(), payload))
+                })
+                .collect();
+            if let Some(snap) = mirror {
                 self.mirror = Some(Mirror {
                     of: pred,
                     app_cycle,
-                    snap: mirror,
+                    snap,
                 });
             } else {
                 // Keep the previous mirror with its older stamp: the

@@ -27,6 +27,21 @@ pub enum DropPolicy {
     Logical,
 }
 
+/// Redistribute only if the new assignment moves more than this fraction
+/// of all rows (avoids thrashing on measurement noise).
+pub(crate) const REBALANCE_THRESHOLD: f64 = 0.02;
+/// OS scheduler quantum in seconds, for the communication penalty model.
+pub(crate) const QUANTUM_SECONDS: f64 = 0.010;
+/// Safety margin: drop nodes only if the predicted unloaded configuration
+/// is at least this much faster (1.0 = any improvement).
+pub(crate) const DROP_MARGIN: f64 = 1.0;
+/// Cycles over which an admission must amortize its redistribution cost:
+/// admit only when `(measured − predicted) × horizon ≥ cost`.
+pub(crate) const EXPAND_HORIZON_CYCLES: u32 = 50;
+/// Estimated redistribution cost in seconds per row moved, for the
+/// admission amortization test. 0.0 = treat redistribution as free.
+pub(crate) const REDIST_SECONDS_PER_ROW: f64 = 0.0;
+
 /// Tunables of the Dyn-MPI runtime. Defaults follow the paper.
 #[derive(Clone, Debug)]
 pub struct DynMpiConfig {
@@ -45,9 +60,6 @@ pub struct DynMpiConfig {
     pub drop_policy: DropPolicy,
     /// Minimum rows kept by a logically dropped node.
     pub min_rows_logical: usize,
-    /// Redistribute only if the new assignment moves more than this
-    /// fraction of all rows (avoids thrashing on measurement noise).
-    pub rebalance_threshold: f64,
     /// Re-admit removed nodes when their load clears (future-work
     /// extension; off by default to match the paper).
     pub allow_rejoin: bool,
@@ -59,21 +71,9 @@ pub struct DynMpiConfig {
     /// the residual wait is small (default 0.05); refined by the
     /// micro-benchmark calibration of §4.3.
     pub wait_factor: f64,
-    /// OS scheduler quantum in seconds, for the communication penalty
-    /// model.
-    pub quantum_seconds: f64,
-    /// Safety margin: drop nodes only if the predicted unloaded
-    /// configuration is at least this much faster (1.0 = any
-    /// improvement).
-    pub drop_margin: f64,
     /// Stop reacting to load changes after this many redistributions
     /// (the Figure 5 "Redist Once" arm). `None` = unlimited.
     pub max_redistributions: Option<u32>,
-    /// Successive balancing never assigns a participating node less than
-    /// this fraction of its relative-power share — balancing alone must
-    /// not idle a node; *removal* (§4.4) is the separate facility for
-    /// that.
-    pub balance_floor: f64,
     /// World ranks `0..seed_world` start in the computation; ranks at or
     /// beyond it are reserved for *arrivals* — brand-new nodes that come
     /// online mid-run and must be admitted through the expansion decision
@@ -85,14 +85,8 @@ pub struct DynMpiConfig {
     pub node_speeds: Vec<f64>,
     /// Admit an arriving node only if the predicted cycle time with it is
     /// at least this much faster than the measured one (1.0 = any
-    /// improvement) — the expansion counterpart of `drop_margin`.
+    /// improvement) — the expansion counterpart of the drop margin.
     pub expand_margin: f64,
-    /// Cycles over which an admission must amortize its redistribution
-    /// cost: admit only when `(measured − predicted) × horizon ≥ cost`.
-    pub expand_horizon_cycles: u32,
-    /// Estimated redistribution cost in seconds per row moved, for the
-    /// admission amortization test. 0.0 = treat redistribution as free.
-    pub redist_seconds_per_row: f64,
     /// Evaluate pending arrivals every this many cycles (a deterministic
     /// retry gate, so a rejected newcomer is reconsidered as conditions
     /// change without re-measuring every cycle).
@@ -123,19 +117,13 @@ impl Default for DynMpiConfig {
             balancer: BalancerKind::SuccessiveBalancing,
             drop_policy: DropPolicy::Auto,
             min_rows_logical: 1,
-            rebalance_threshold: 0.02,
             allow_rejoin: false,
             rejoin_after_cycles: 3,
             wait_factor: 0.05,
-            quantum_seconds: 0.010,
-            drop_margin: 1.0,
             max_redistributions: None,
-            balance_floor: 0.8,
             seed_world: None,
             node_speeds: Vec::new(),
             expand_margin: 1.0,
-            expand_horizon_cycles: 50,
-            redist_seconds_per_row: 0.0,
             arrival_retry_cycles: 8,
             failure_detection: false,
             peer_timeout_seconds: 0.5,
@@ -164,16 +152,7 @@ impl DynMpiConfig {
             self.post_redist_period >= 1,
             "post-redistribution period must be ≥ 1"
         );
-        assert!(
-            (0.0..=1.0).contains(&self.rebalance_threshold),
-            "rebalance threshold must be a fraction"
-        );
-        assert!(self.wait_factor >= 0.0 && self.quantum_seconds >= 0.0);
-        assert!(self.drop_margin > 0.0);
-        assert!(
-            (0.0..=1.0).contains(&self.balance_floor),
-            "balance floor is a fraction"
-        );
+        assert!(self.wait_factor >= 0.0);
         if let Some(seed) = self.seed_world {
             assert!(seed >= 1, "seed world must have at least one rank");
         }
@@ -182,11 +161,6 @@ impl DynMpiConfig {
             "node speeds must be positive"
         );
         assert!(self.expand_margin > 0.0);
-        assert!(
-            self.expand_horizon_cycles >= 1,
-            "expansion horizon must be ≥ 1 cycle"
-        );
-        assert!(self.redist_seconds_per_row >= 0.0);
         assert!(
             self.arrival_retry_cycles >= 1,
             "arrival retry gate must be ≥ 1 cycle"

@@ -57,6 +57,7 @@ pub mod array;
 pub mod balance;
 pub mod checkpoint;
 pub mod config;
+mod control;
 pub mod dense;
 pub mod dist;
 pub mod drsd;

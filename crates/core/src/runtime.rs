@@ -20,11 +20,13 @@ use dynmpi_comm::{from_bytes, to_bytes, CommOps, Group, HostMeters};
 use dynmpi_obs::{self as obs, Json};
 
 use crate::array::{ArrayMeta, RedistArray};
-use crate::balance::{
-    predict_cycle_time, relative_power, successive_balance_with_floor, CommModel, NodeLoad,
-};
+use crate::balance::{predict_cycle_time, relative_power, successive_balance, CommModel, NodeLoad};
 use crate::checkpoint::{BuddyCheckpoint, TAG_CKPT_META};
-use crate::config::{BalancerKind, DropPolicy, DynMpiConfig};
+use crate::config::{
+    BalancerKind, DropPolicy, DynMpiConfig, DROP_MARGIN, EXPAND_HORIZON_CYCLES, QUANTUM_SECONDS,
+    REBALANCE_THRESHOLD, REDIST_SECONDS_PER_ROW,
+};
+use crate::control::{recv_unless_dead, ControlBlob, Resync, Sample, Status};
 use crate::dist::Distribution;
 use crate::drsd::{AccessMode, ArrayAccess, Drsd};
 use crate::events::RuntimeEvent;
@@ -50,14 +52,6 @@ const CTRL_LAG: u64 = 2;
 const TAG_GLOBAL: u64 = (1 << 33) + 0x30_0000;
 /// Per-cycle ghost-row exchange (one tag per array).
 const TAG_GEX: u64 = (1 << 33) + 0x40_0000;
-/// Control-gather sentinels (failure detection only): the peer's sample
-/// never arrived within the timeout. `CTRL_SILENT` = its `dmpi_ps`
-/// monitor also reads dead (a crash suspect); `CTRL_STALLED` = the
-/// monitor still answers (overload — no suspicion, and the detector
-/// streak resets so a merely slow node is never confirmed). Negative so
-/// they can never collide with a real cycle time.
-const CTRL_SILENT: f64 = -1.0;
-const CTRL_STALLED: f64 = -2.0;
 
 /// Identifier of a registered array (registration order).
 pub type ArrayId = usize;
@@ -652,116 +646,34 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             }
             return report;
         }
-        let blob: Vec<f64> = if rel == 0 {
-            let mut b = Vec::with_capacity(self.active.size() + self.wsize);
-            for r in 0..self.active.size() {
-                if r == 0 {
-                    b.push(self.self_samples.pop_front().expect("own sample queued"));
-                } else if self.cfg.failure_detection {
-                    // Timeout-guarded gather: a missing sample becomes a
-                    // sentinel the replicated detector classifies from
-                    // the monitor reading (dead vs. merely overloaded).
-                    let peer = self.active.world_rank(r);
-                    let sample =
-                        match self
-                            .t
-                            .recv_bytes_timeout(peer, up, self.cfg.peer_timeout_seconds)
-                        {
-                            Ok(bytes) => {
-                                let v: Vec<f64> = from_bytes(&bytes);
-                                v[0]
-                            }
-                            Err(_) if self.t.dmpi_ps(peer) == 0 => CTRL_SILENT,
-                            Err(_) => CTRL_STALLED,
-                        };
-                    b.push(sample);
-                } else {
-                    let bytes = self.t.recv_bytes(self.active.world_rank(r), up);
-                    let v: Vec<f64> = from_bytes(&bytes);
-                    b.push(v[0]);
-                }
-            }
-            for node in 0..self.wsize {
-                b.push(f64::from(self.t.dmpi_ps(node).saturating_sub(1)));
-            }
-            // Arrival extension: online flags for the non-seed ranks.
-            // Absent entirely when the world is fully seeded, so classic
-            // runs keep a byte-identical control plane.
-            for node in self.seed..self.wsize {
-                b.push(if self.t.node_online(node) { 1.0 } else { 0.0 });
-            }
-            // Fail-stop path: raw monitor liveness per world node. The
-            // load entries above subtract the application's own process,
-            // so a dead monitor (raw 0) is indistinguishable from an
-            // unloaded node there; these flags disambiguate. Gated on
-            // `failure_detection` so classic control blobs stay
-            // byte-identical.
-            if self.cfg.failure_detection {
-                for node in 0..self.wsize {
-                    b.push(if self.t.dmpi_ps(node) >= 1 { 1.0 } else { 0.0 });
-                }
-            }
-            let bytes = to_bytes(&b);
+        let blob = if rel == 0 {
+            let blob = self.gather_blob(up);
+            let bytes = blob.encode();
             for r in 1..self.active.size() {
                 self.t
                     .send_bytes(self.active.world_rank(r), down, bytes.clone());
             }
-            b
-        } else if self.cfg.failure_detection {
-            // The state blob is the replicated machine's input: a rank
-            // must never advance without it. A timeout alone is NOT
-            // evidence of being cut off — the root's gather legitimately
-            // drifts one peer-timeout per silent cycle while a death is
-            // being confirmed, so a fixed retry budget would falsely
-            // evict a healthy survivor (and deadlock the others'
-            // recovery). Like the ghost exchange, the wait re-arms until
-            // the same evidence the detector uses says *this rank* is cut
-            // off: the root's monitor reading dead (partitioned reader,
-            // or the root itself died — the latter is out of scope,
-            // DESIGN.md §14). Then it withdraws rather than blocking
-            // forever — the survivors are confirming it dead through the
-            // same silence.
-            let got = loop {
-                match self
-                    .t
-                    .recv_bytes_timeout(root, down, self.cfg.peer_timeout_seconds)
-                {
-                    Ok(b) => break Some(b),
-                    Err(_) if self.t.dmpi_ps(root) == 0 => break None,
-                    Err(_) => continue,
-                }
-            };
-            match got {
-                Some(b) => from_bytes(&b),
+            blob
+        } else {
+            // The blob is the replicated machine's input: a rank must
+            // never advance without it, and a timeout alone is no
+            // evidence of being cut off (the root legitimately drifts one
+            // peer-timeout per silent cycle while confirming a death).
+            // Only the root's monitor reading dead — a partitioned reader,
+            // or a dead root, which is out of scope (DESIGN.md §14) —
+            // makes this rank withdraw; the survivors confirm it dead
+            // through the same silence.
+            match recv_unless_dead(self.t, root, down, self.peer_timeout()) {
+                Some(b) => ControlBlob::decode(&b, self.active.size(), self.wsize, self.seed),
                 None => {
                     self.self_evict();
                     return report;
                 }
             }
-        } else {
-            from_bytes(&self.t.recv_bytes(root, down))
         };
-        let na = self.active.size();
-        let times: Vec<f64> = blob[..na].to_vec();
-        let loads: Vec<u32> = blob[na..na + self.wsize]
-            .iter()
-            .map(|&x| x as u32)
-            .collect();
-        let online_end = na + self.wsize + (self.wsize - self.seed);
-        let online: Vec<bool> = blob[na + self.wsize..online_end]
-            .iter()
-            .map(|&x| x == 1.0)
-            .collect();
-        let alive: Vec<bool> = if self.cfg.failure_detection {
-            blob[online_end..].iter().map(|&x| x == 1.0).collect()
-        } else {
-            vec![true; self.wsize]
-        };
-        debug_assert_eq!(online.len(), self.wsize - self.seed);
-        debug_assert_eq!(alive.len(), self.wsize);
 
         // Track load-free streaks of removed nodes (for rejoin).
-        for (n, &load) in loads.iter().enumerate() {
+        for (n, &load) in blob.loads.iter().enumerate() {
             if load == 0 {
                 self.clear_streak[n] = self.clear_streak[n].saturating_add(1);
             } else {
@@ -771,13 +683,13 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 
         // 2. Replicated failure detector: every active rank advances the
         //    same Suspect→Confirmed streak machine from the broadcast
-        //    sentinels, so all survivors confirm a death on the same
-        //    cycle without further coordination.
+        //    samples, so all survivors confirm a death on the same cycle
+        //    without further coordination.
         let mut confirmed = None;
         if self.cfg.failure_detection {
-            for (r, &tm) in times.iter().enumerate() {
+            for (r, sample) in blob.samples.iter().enumerate() {
                 let m = self.active.world_rank(r);
-                if tm == CTRL_SILENT {
+                if *sample == Sample::Silent {
                     let streak = self.silent_streak[m] + 1;
                     self.silent_streak[m] = streak;
                     self.note(RuntimeEvent::NodeSuspected {
@@ -789,8 +701,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                         confirmed = Some(m);
                     }
                 } else {
-                    // A real sample or a stall sentinel (monitor alive):
-                    // the sustain rule restarts, so pure overload never
+                    // A real sample or a stall (monitor alive): the
+                    // sustain rule restarts, so pure overload never
                     // escalates to Confirmed.
                     self.silent_streak[m] = 0;
                 }
@@ -802,13 +714,13 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                 node: d,
                 silent_cycles: self.silent_streak[d],
             });
-            self.recover_from_death(d, &loads, arrays, &mut report);
+            self.recover_from_death(d, &blob.loads, arrays, &mut report);
             return report;
         }
 
         // 3. Replicated state machine.
         let pre_removed = self.removed_nodes();
-        self.step(&times, &loads, &online, &alive, arrays, &mut report);
+        self.step(&blob, arrays, &mut report);
 
         // 4. Status send-out to ranks that were already removed at cycle
         //    start. Drop, rejoin, and admission transitions send their
@@ -817,7 +729,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         let transition =
             !report.dropped.is_empty() || report.rejoined.is_some() || report.admitted.is_some();
         if !transition && !self.is_removed && self.active.rel() == Some(0) {
-            self.send_statuses(&pre_removed, &loads);
+            self.send_statuses(&pre_removed, &blob.loads);
         }
 
         // 5. Fail-stop path: keep buddy checkpoints tracking the
@@ -830,16 +742,72 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             let due = interval > 0
                 && self.cycles_since_ckpt >= interval
                 && matches!(self.mode, Mode::Stable)
-                && !self
-                    .active
-                    .members()
-                    .iter()
-                    .any(|&m| self.silent_streak[m] > 0);
+                && !self.any_suspect();
             if transition || report.redistributed || due {
                 self.refresh_ckpt(arrays);
             }
         }
         report
+    }
+
+    /// Root only: assembles this cycle's blob from the queued samples and
+    /// the monitors. Under failure detection each peer's sample is waited
+    /// for once, for the peer timeout; a missing one becomes a sentinel
+    /// the replicated detector classifies from the monitor reading (dead
+    /// vs. merely overloaded).
+    fn gather_blob(&mut self, up: u64) -> ControlBlob {
+        let own = self.self_samples.pop_front().expect("own sample queued");
+        let mut samples = vec![Sample::Time(own)];
+        for r in 1..self.active.size() {
+            let peer = self.active.world_rank(r);
+            let got = if self.cfg.failure_detection {
+                self.t
+                    .recv_bytes_timeout(peer, up, self.cfg.peer_timeout_seconds)
+                    .ok()
+            } else {
+                Some(self.t.recv_bytes(peer, up))
+            };
+            samples.push(match got {
+                Some(bytes) => Sample::Time(from_bytes::<f64>(&bytes)[0]),
+                None if self.t.dmpi_ps(peer) == 0 => Sample::Silent,
+                None => Sample::Stalled,
+            });
+        }
+        let loads = (0..self.wsize)
+            .map(|n| self.t.dmpi_ps(n).saturating_sub(1))
+            .collect();
+        let online = (self.seed..self.wsize)
+            .map(|n| self.t.node_online(n))
+            .collect();
+        // The loads subtract the application's own process, so a dead
+        // monitor (raw 0) reads like an unloaded node there; the liveness
+        // flags disambiguate.
+        let alive = self
+            .cfg
+            .failure_detection
+            .then(|| (0..self.wsize).map(|n| self.t.dmpi_ps(n) >= 1).collect());
+        ControlBlob {
+            samples,
+            loads,
+            online,
+            alive,
+        }
+    }
+
+    /// The wait bound of every evidence-rule receive: the peer timeout
+    /// under failure detection, else none (plain blocking receives).
+    fn peer_timeout(&self) -> Option<f64> {
+        self.cfg
+            .failure_detection
+            .then_some(self.cfg.peer_timeout_seconds)
+    }
+
+    /// Is any active member's suspect streak open?
+    fn any_suspect(&self) -> bool {
+        self.active
+            .members()
+            .iter()
+            .any(|&m| self.silent_streak[m] > 0)
     }
 
     /// Nodes currently outside the active group.
@@ -853,29 +821,22 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 
     fn step(
         &mut self,
-        times: &[f64],
-        loads: &[u32],
-        online: &[bool],
-        alive: &[bool],
+        blob: &ControlBlob,
         arrays: &mut [&mut dyn RedistArray],
         report: &mut CycleReport,
     ) {
-        // Freeze the adaptation machine while any control sample is a
-        // sentinel or any suspect streak is open: every transition runs a
-        // collective that would hang on a dead member, and sentinel
-        // "times" must never enter the measurement accumulators. The
+        // Freeze the adaptation machine while any control sample is
+        // missing or any suspect streak is open: every transition runs a
+        // collective that would hang on a dead member, and missing samples
+        // have no time to enter the measurement accumulators. The
         // condition is a pure function of broadcast data, so all ranks
         // freeze and thaw together.
         if self.cfg.failure_detection
-            && (times.iter().any(|&x| x < 0.0)
-                || self
-                    .active
-                    .members()
-                    .iter()
-                    .any(|&m| self.silent_streak[m] > 0))
+            && (blob.samples.iter().any(|s| !matches!(s, Sample::Time(_))) || self.any_suspect())
         {
             return;
         }
+        let loads = &blob.loads;
         match self.mode {
             Mode::Stable => {
                 let exhausted = self
@@ -898,21 +859,16 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                         cycle: self.cycle,
                         loads: loads.to_vec(),
                     });
-                    // Time my currently owned rows through the grace
-                    // period.
-                    let rel = self.active.rel_unchecked();
-                    let mine = self.dist.rows_of(rel);
-                    let (lo, count) = (mine.first().unwrap_or(0), mine.len());
-                    self.timer = Some(RowTimer::new(lo, count, self.t.proc_tick_seconds()));
+                    self.start_row_timer();
                     self.mode = Mode::Grace {
                         left: self.cfg.grace_period,
                     };
                 } else {
                     if self.cfg.allow_rejoin {
-                        self.maybe_rejoin(loads, alive, arrays, report);
+                        self.maybe_rejoin(blob, arrays, report);
                     }
                     if report.rejoined.is_none() && self.seed < self.wsize {
-                        self.maybe_begin_arrival(online, alive);
+                        self.maybe_begin_arrival(blob);
                     }
                 }
             }
@@ -923,14 +879,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                 if left > 1 {
                     self.mode = Mode::Grace { left: left - 1 };
                 } else {
-                    let traced = obs::enabled();
-                    if traced {
-                        obs::span_begin("runtime", "finish_grace", self.t.now_ns());
-                    }
-                    self.finish_grace(loads, arrays, report);
-                    if traced {
-                        obs::span_end(self.t.now_ns());
-                    }
+                    self.in_span("finish_grace", |rt| rt.finish_grace(loads, arrays, report));
                 }
             }
             Mode::PostRedist { left } => {
@@ -940,61 +889,102 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                     self.post_skip -= 1;
                     return;
                 }
-                for (i, &t) in times.iter().enumerate() {
-                    self.post_accum[i] += t;
-                }
-                self.post_count += 1;
+                self.accumulate(&blob.samples);
                 if left > 1 {
                     self.mode = Mode::PostRedist { left: left - 1 };
                 } else {
-                    let traced = obs::enabled();
-                    if traced {
-                        obs::span_begin("runtime", "drop_eval", self.t.now_ns());
-                    }
-                    self.finish_post_redist(loads, arrays, report);
-                    if traced {
-                        obs::span_end(self.t.now_ns());
-                    }
-                    self.post_accum.iter_mut().for_each(|x| *x = 0.0);
-                    self.post_count = 0;
+                    self.in_span("drop_eval", |rt| {
+                        rt.finish_post_redist(loads, arrays, report)
+                    });
+                    self.reset_window();
                 }
             }
             Mode::ArrivalGrace { node, left } => {
                 if let Some(t) = self.timer.as_mut() {
                     t.end_cycle();
                 }
-                if !online[node - self.seed] || !alive[node] {
+                if !blob.online[node - self.seed] || !blob.is_alive(node) {
                     // The newcomer vanished mid-window: abandon the
                     // evaluation (a fresh window starts if it returns).
                     self.timer = None;
-                    self.post_accum.iter_mut().for_each(|x| *x = 0.0);
-                    self.post_count = 0;
+                    self.reset_window();
                     self.mode = Mode::Stable;
                     return;
                 }
-                for (i, &t) in times.iter().enumerate() {
-                    self.post_accum[i] += t;
-                }
-                self.post_count += 1;
+                self.accumulate(&blob.samples);
                 if left > 1 {
                     self.mode = Mode::ArrivalGrace {
                         node,
                         left: left - 1,
                     };
                 } else {
-                    let traced = obs::enabled();
-                    if traced {
-                        obs::span_begin("runtime", "arrival_eval", self.t.now_ns());
-                    }
-                    self.finish_arrival_eval(node, loads, arrays, report);
-                    if traced {
-                        obs::span_end(self.t.now_ns());
-                    }
-                    self.post_accum.iter_mut().for_each(|x| *x = 0.0);
-                    self.post_count = 0;
+                    self.in_span("arrival_eval", |rt| {
+                        rt.finish_arrival_eval(node, loads, arrays, report)
+                    });
+                    self.reset_window();
                 }
             }
         }
+    }
+
+    /// Runs `f` inside a `runtime` trace span named `name`.
+    fn in_span(&mut self, name: &str, f: impl FnOnce(&mut Self)) {
+        let traced = obs::enabled();
+        if traced {
+            obs::span_begin("runtime", name, self.t.now_ns());
+        }
+        f(self);
+        if traced {
+            obs::span_end(self.t.now_ns());
+        }
+    }
+
+    /// Starts timing this rank's owned rows through a grace window.
+    fn start_row_timer(&mut self) {
+        let mine = self.dist.rows_of(self.active.rel_unchecked());
+        let (lo, count) = (mine.first().unwrap_or(0), mine.len());
+        self.timer = Some(RowTimer::new(lo, count, self.t.proc_tick_seconds()));
+    }
+
+    /// Ends a grace window: records its timing mode and gathers the
+    /// global per-row weight vector — every active rank contributes its
+    /// contiguous block, in relative-rank (= row) order.
+    fn gather_row_weights(&mut self) {
+        let timer = self.timer.take().expect("grace without timer");
+        let mode = timer.mode().expect("grace period saw no cycles");
+        self.note(RuntimeEvent::GraceComplete {
+            cycle: self.cycle,
+            mode,
+        });
+        let weights = self.t.allgatherv(&self.active, &timer.weights()).concat();
+        assert_eq!(weights.len(), self.nrows, "weight gather incomplete");
+        self.row_weights = Some(weights);
+    }
+
+    /// Adds one blob's cycle times to the measurement window.
+    fn accumulate(&mut self, samples: &[Sample]) {
+        for (acc, s) in self.post_accum.iter_mut().zip(samples) {
+            if let Sample::Time(t) = s {
+                *acc += t;
+            }
+        }
+        self.post_count += 1;
+    }
+
+    fn reset_window(&mut self) {
+        self.post_accum.fill(0.0);
+        self.post_count = 0;
+    }
+
+    /// The window's mean cycle time per active member (relative-rank
+    /// order) and the largest of them.
+    fn window_average(&self) -> (Vec<f64>, f64) {
+        let avg: Vec<f64> = self.post_accum[..self.active.size()]
+            .iter()
+            .map(|&s| s / f64::from(self.post_count.max(1)))
+            .collect();
+        let max = avg.iter().cloned().fold(0.0, f64::max);
+        (avg, max)
     }
 
     /// End of the grace period: build global row weights, balance,
@@ -1005,29 +995,18 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         arrays: &mut [&mut dyn RedistArray],
         report: &mut CycleReport,
     ) {
-        let timer = self.timer.take().expect("grace without timer");
-        let mode = timer.mode().expect("grace period saw no cycles");
-        self.note(RuntimeEvent::GraceComplete {
-            cycle: self.cycle,
-            mode,
-        });
-
-        // Assemble the global per-row weight vector: every active rank
-        // contributes its contiguous block, in relative-rank (= row)
-        // order.
-        let pieces = self.t.allgatherv(&self.active, &timer.weights());
-        let mut weights: Vec<f64> = Vec::with_capacity(self.nrows);
-        for p in &pieces {
-            weights.extend_from_slice(p);
-        }
-        assert_eq!(weights.len(), self.nrows, "weight gather incomplete");
-        self.row_weights = Some(weights);
+        self.gather_row_weights();
 
         let traced = obs::enabled();
         if traced {
             obs::span_begin("runtime", "balance", self.t.now_ns());
         }
-        let new_dist = self.balance(loads);
+        let min_rows = if self.cfg.drop_policy == DropPolicy::Logical {
+            self.cfg.min_rows_logical
+        } else {
+            0
+        };
+        let new_dist = self.balance_over(self.active.members(), loads, min_rows);
         let moved = self.moved_fraction(&new_dist);
         if traced {
             // The prediction the audit report checks against reality: the
@@ -1044,14 +1023,18 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
                 ],
             );
         }
-        if moved > self.cfg.rebalance_threshold {
-            let oc = self.redistribute_in_place(&new_dist, arrays);
+        if moved > REBALANCE_THRESHOLD {
+            let group = self.active.clone();
+            let oc = self.redistribute(&group, &new_dist, arrays);
+            self.redist_count += 1;
+            self.known_counts = new_dist.counts();
             self.note(RuntimeEvent::Redistributed {
                 cycle: self.cycle,
                 seconds: oc.seconds,
                 rows_moved: oc.rows_moved,
                 counts: new_dist.counts(),
             });
+            self.dist = new_dist;
             report.redistributed = true;
             self.post_skip = CTRL_LAG as u32 + 1;
             self.mode = Mode::PostRedist {
@@ -1076,27 +1059,9 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         report: &mut CycleReport,
     ) {
         self.mode = Mode::Stable;
-        let n = self.active.size();
-        let avg: Vec<f64> = self.post_accum[..n]
-            .iter()
-            .map(|&s| s / f64::from(self.post_count.max(1)))
-            .collect();
-        let measured_max = avg.iter().cloned().fold(0.0, f64::max);
-
-        let loaded: Vec<usize> = self
-            .active
-            .members()
-            .iter()
-            .copied()
-            .filter(|&m| loads[m] > 0)
-            .collect();
-        let unloaded: Vec<usize> = self
-            .active
-            .members()
-            .iter()
-            .copied()
-            .filter(|&m| loads[m] == 0)
-            .collect();
+        let (avg, measured_max) = self.window_average();
+        let (loaded, unloaded): (Vec<usize>, Vec<usize>) =
+            self.active.members().iter().partition(|&&m| loads[m] > 0);
         if loaded.is_empty() || unloaded.is_empty() {
             return;
         }
@@ -1108,23 +1073,20 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         let comm_baseline = self.comm_baseline(&avg, loads, weights);
         let pred = predict_cycle_time(
             total_work,
-            &unloaded
-                .iter()
-                .map(|&m| NodeLoad::unloaded(self.cfg.speed_of(m)))
-                .collect::<Vec<_>>(),
-            &self.comm_model(),
+            &self.node_loads(&unloaded, loads),
+            &self.comm_model_for(self.active.size()),
             comm_baseline,
         );
         let drop = match self.cfg.drop_policy {
             DropPolicy::Never | DropPolicy::Logical => false,
             DropPolicy::Always => true,
-            DropPolicy::Auto => pred * self.cfg.drop_margin < measured_max,
+            DropPolicy::Auto => pred * DROP_MARGIN < measured_max,
         };
         self.note(RuntimeEvent::DropEvaluated {
             cycle: self.cycle,
             predicted_unloaded: pred,
             measured_max,
-            margin: self.cfg.drop_margin,
+            margin: DROP_MARGIN,
             loaded: loaded.clone(),
             dropped: drop,
         });
@@ -1137,50 +1099,16 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         // construction of the new group.
         let pre_removed = self.removed_nodes();
         let was_root = self.active.rel() == Some(0);
-        let old_group = self.active.clone();
-        let old_dist = self.dist.clone();
-        let new_group = Group::new(unloaded.clone(), self.wrank);
-        let node_loads: Vec<NodeLoad> = unloaded
-            .iter()
-            .map(|&m| NodeLoad::unloaded(self.cfg.speed_of(m)))
-            .collect();
-        let w = self.effective_weights();
-        let new_dist = match self.cfg.balancer {
-            BalancerKind::RelativePower => relative_power(&w, &node_loads, 0),
-            BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
-                &w,
-                &node_loads,
-                &self.comm_model_for(new_group.size()),
-                0,
-                self.cfg.balance_floor,
-            ),
-        };
-        let oc = redist::execute_cached(
-            self.t,
-            self.wrank,
-            self.sched_cache.get_mut(),
-            &old_group,
-            &old_dist,
-            &new_group,
-            &new_dist,
-            &self.accesses,
-            arrays,
-        );
-        self.redist_seconds_total += oc.seconds;
+        let new_dist = self.balance_over(&unloaded, loads, 0);
+        let new_group = Group::new(unloaded, self.wrank);
+        self.redistribute(&new_group, &new_dist, arrays);
         self.note(RuntimeEvent::NodesDropped {
             cycle: self.cycle,
             nodes: loaded.clone(),
         });
         report.dropped = loaded;
-        self.known_members = unloaded.clone();
-        self.known_counts = new_dist.counts();
-        self.dist = new_dist;
-        self.is_removed = !new_group.contains(self.wrank);
-        self.active = new_group;
-        self.last_loads = loads.to_vec();
-        self.post_accum = vec![0.0; self.wsize];
+        self.commit(new_group, new_dist, loads);
         self.clear_streak = vec![0; self.wsize];
-        self.reset_ctrl_pipeline();
 
         // The pre-drop root owes this cycle's statuses even if it just
         // removed itself.
@@ -1193,8 +1121,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// is re-admitted.
     fn maybe_rejoin(
         &mut self,
-        loads: &[u32],
-        alive: &[bool],
+        blob: &ControlBlob,
         arrays: &mut [&mut dyn RedistArray],
         report: &mut CycleReport,
     ) {
@@ -1205,71 +1132,58 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         // flags (and the permanent `dead` bits) keep it out.
         let candidate = self.removed_nodes().into_iter().find(|&n| {
             n < self.seed
-                && alive[n]
+                && blob.is_alive(n)
                 && !self.dead[n]
                 && self.clear_streak[n] >= self.cfg.rejoin_after_cycles
         });
         let Some(node) = candidate else { return };
-
-        let pre_removed = self.removed_nodes();
-        let was_root = self.active.rel() == Some(0);
-        let mut members: Vec<usize> = self.active.members().to_vec();
-        members.push(node);
-        members.sort_unstable();
-        let old_group = self.active.clone();
-        let old_dist = self.dist.clone();
-        let new_group = Group::new(members.clone(), self.wrank);
-        let node_loads: Vec<NodeLoad> = members
-            .iter()
-            .map(|&m| self.node_load(m, loads[m]))
-            .collect();
-        let w = self.effective_weights();
-        let new_dist = match self.cfg.balancer {
-            BalancerKind::RelativePower => relative_power(&w, &node_loads, 0),
-            BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
-                &w,
-                &node_loads,
-                &self.comm_model_for(new_group.size()),
-                0,
-                self.cfg.balance_floor,
-            ),
-        };
-
-        // Reset only the readmitted node's streak — the other removed
-        // nodes keep theirs, so several nodes clearing together rejoin on
-        // consecutive eligible cycles instead of each restarting a full
-        // streak. Done before the statuses go out: the tail ships the
-        // post-reset streak vector, keeping the rejoiner's replica exact.
-        self.clear_streak[node] = 0;
-
-        // Statuses first: the rejoining rank must learn its membership
-        // before the transfers reach it (the root sends them this cycle).
-        self.known_members = members;
-        self.known_counts = new_dist.counts();
-        if was_root {
-            self.send_statuses(&pre_removed, loads);
-        }
-        let oc = redist::execute_cached(
-            self.t,
-            self.wrank,
-            self.sched_cache.get_mut(),
-            &old_group,
-            &old_dist,
-            &new_group,
-            &new_dist,
-            &self.accesses,
-            arrays,
-        );
-        self.redist_seconds_total += oc.seconds;
-        self.note(RuntimeEvent::NodeRejoined {
+        let members = self.members_with(node);
+        let new_dist = self.balance_over(&members, &blob.loads, 0);
+        let event = RuntimeEvent::NodeRejoined {
             cycle: self.cycle,
             node,
-        });
+        };
+        self.grow(node, members, new_dist, &blob.loads, event, arrays);
         report.rejoined = Some(node);
-        self.dist = new_dist;
-        self.active = new_group;
-        self.last_loads = loads.to_vec();
-        self.reset_ctrl_pipeline();
+    }
+
+    /// The active members plus `node`, in world-rank order.
+    fn members_with(&self, node: usize) -> Vec<usize> {
+        let mut members = self.active.members().to_vec();
+        members.push(node);
+        members.sort_unstable();
+        members
+    }
+
+    /// Grows the computation by `node` (a rejoin or an admission) onto
+    /// `new_dist`. Statuses go out first — the joiner must learn its
+    /// membership before the transfers reach it — then every rank runs
+    /// the same redistribution with the joiner as a pure receiver.
+    fn grow(
+        &mut self,
+        node: usize,
+        members: Vec<usize>,
+        new_dist: Distribution,
+        loads: &[u32],
+        event: RuntimeEvent,
+        arrays: &mut [&mut dyn RedistArray],
+    ) {
+        let pre_removed = self.removed_nodes();
+        // Reset only the joiner's streak — the other removed nodes keep
+        // theirs, so several nodes clearing together rejoin on
+        // consecutive eligible cycles instead of each restarting a full
+        // streak. Done before the statuses go out: the tail ships the
+        // post-reset streak vector, keeping the joiner's replica exact.
+        self.clear_streak[node] = 0;
+        self.known_members = members.clone();
+        self.known_counts = new_dist.counts();
+        if self.active.rel() == Some(0) {
+            self.send_statuses(&pre_removed, loads);
+        }
+        let new_group = Group::new(members, self.wrank);
+        self.redistribute(&new_group, &new_dist, arrays);
+        self.note(event);
+        self.commit(new_group, new_dist, loads);
     }
 
     /// Arrival check (malleability): when a non-seed rank's node is
@@ -1278,7 +1192,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// decision. Gated to every `arrival_retry_cycles`-th cycle — a
     /// deterministic retry schedule, identical on every rank, so a
     /// rejected newcomer is reconsidered without per-node state.
-    fn maybe_begin_arrival(&mut self, online: &[bool], alive: &[bool]) {
+    fn maybe_begin_arrival(&mut self, blob: &ControlBlob) {
         if !self
             .cycle
             .is_multiple_of(u64::from(self.cfg.arrival_retry_cycles))
@@ -1286,7 +1200,10 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             return;
         }
         let candidate = (self.seed..self.wsize).find(|&n| {
-            online[n - self.seed] && alive[n] && !self.dead[n] && !self.active.contains(n)
+            blob.online[n - self.seed]
+                && blob.is_alive(n)
+                && !self.dead[n]
+                && !self.active.contains(n)
         });
         let Some(node) = candidate else { return };
         self.note(RuntimeEvent::NodeArrived {
@@ -1295,12 +1212,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         });
         // Time my currently owned rows through the window, exactly like
         // an ordinary grace period.
-        let rel = self.active.rel_unchecked();
-        let mine = self.dist.rows_of(rel);
-        let (lo, count) = (mine.first().unwrap_or(0), mine.len());
-        self.timer = Some(RowTimer::new(lo, count, self.t.proc_tick_seconds()));
-        self.post_accum.iter_mut().for_each(|x| *x = 0.0);
-        self.post_count = 0;
+        self.start_row_timer();
+        self.reset_window();
         self.mode = Mode::ArrivalGrace {
             node,
             left: self.cfg.grace_period,
@@ -1311,7 +1224,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
     /// to the §4.4 removal rule. Admit the newcomer only when the
     /// predicted cycle time with it beats the measured one by the margin
     /// AND the per-cycle saving amortizes the redistribution cost over
-    /// the configured horizon.
+    /// the horizon.
     fn finish_arrival_eval(
         &mut self,
         node: usize,
@@ -1320,64 +1233,29 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         report: &mut CycleReport,
     ) {
         self.mode = Mode::Stable;
-        let timer = self.timer.take().expect("arrival grace without timer");
-        let mode = timer.mode().expect("arrival grace saw no cycles");
-        self.note(RuntimeEvent::GraceComplete {
-            cycle: self.cycle,
-            mode,
-        });
+        self.gather_row_weights();
+        let (avg, measured_max) = self.window_average();
 
-        // Fresh global row weights, exactly as in `finish_grace`.
-        let pieces = self.t.allgatherv(&self.active, &timer.weights());
-        let mut weights: Vec<f64> = Vec::with_capacity(self.nrows);
-        for p in &pieces {
-            weights.extend_from_slice(p);
-        }
-        assert_eq!(weights.len(), self.nrows, "weight gather incomplete");
-        self.row_weights = Some(weights);
-
-        let n = self.active.size();
-        let avg: Vec<f64> = self.post_accum[..n]
-            .iter()
-            .map(|&s| s / f64::from(self.post_count.max(1)))
-            .collect();
-        let measured_max = avg.iter().cloned().fold(0.0, f64::max);
-
-        let mut members: Vec<usize> = self.active.members().to_vec();
-        members.push(node);
-        members.sort_unstable();
-        let node_loads: Vec<NodeLoad> = members
-            .iter()
-            .map(|&m| self.node_load(m, loads[m]))
-            .collect();
+        let members = self.members_with(node);
         let w = self.effective_weights();
         let total_work: f64 = w.iter().sum();
         let comm_baseline = self.comm_baseline(&avg, loads, &w);
         let pred_with = predict_cycle_time(
             total_work,
-            &node_loads,
+            &self.node_loads(&members, loads),
             &self.comm_model_for(members.len()),
             comm_baseline,
         );
-        let new_dist = match self.cfg.balancer {
-            BalancerKind::RelativePower => relative_power(&w, &node_loads, 0),
-            BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
-                &w,
-                &node_loads,
-                &self.comm_model_for(members.len()),
-                0,
-                self.cfg.balance_floor,
-            ),
-        };
+        let new_dist = self.balance_over(&members, loads, 0);
         let new_rel = members
             .iter()
             .position(|&m| m == node)
             .expect("candidate in members");
         let new_rows = new_dist.rows_of(new_rel).len();
-        let cost = new_rows as f64 * self.cfg.redist_seconds_per_row;
+        let cost = new_rows as f64 * REDIST_SECONDS_PER_ROW;
         let benefit = measured_max - pred_with;
         let admitted = pred_with * self.cfg.expand_margin < measured_max
-            && (cost <= 0.0 || benefit * f64::from(self.cfg.expand_horizon_cycles) >= cost);
+            && (cost <= 0.0 || benefit * f64::from(EXPAND_HORIZON_CYCLES) >= cost);
         self.note(RuntimeEvent::ExpandEvaluated {
             cycle: self.cycle,
             node,
@@ -1385,7 +1263,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             measured_max,
             redist_cost: cost,
             margin: self.cfg.expand_margin,
-            horizon_cycles: self.cfg.expand_horizon_cycles,
+            horizon_cycles: EXPAND_HORIZON_CYCLES,
             admitted,
         });
         if !admitted {
@@ -1393,44 +1271,13 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             // pending load change is still detected next cycle.
             return;
         }
-
-        // Expansion: symmetric to the rejoin path. Statuses first (the
-        // newcomer must learn its membership before the transfers reach
-        // it), then the same redistribution on every rank with the
-        // newcomer as a pure receiver.
-        let pre_removed = self.removed_nodes();
-        let was_root = self.active.rel() == Some(0);
-        let old_group = self.active.clone();
-        let old_dist = self.dist.clone();
-        let new_group = Group::new(members.clone(), self.wrank);
-        self.clear_streak[node] = 0;
-        self.known_members = members;
-        self.known_counts = new_dist.counts();
-        if was_root {
-            self.send_statuses(&pre_removed, loads);
-        }
-        let oc = redist::execute_cached(
-            self.t,
-            self.wrank,
-            self.sched_cache.get_mut(),
-            &old_group,
-            &old_dist,
-            &new_group,
-            &new_dist,
-            &self.accesses,
-            arrays,
-        );
-        self.redist_seconds_total += oc.seconds;
-        self.note(RuntimeEvent::NodeAdmitted {
+        let event = RuntimeEvent::NodeAdmitted {
             cycle: self.cycle,
             node,
             rows: new_rows,
-        });
+        };
+        self.grow(node, members, new_dist, loads, event, arrays);
         report.admitted = Some(node);
-        self.dist = new_dist;
-        self.active = new_group;
-        self.last_loads = loads.to_vec();
-        self.reset_ctrl_pipeline();
     }
 
     // ---------------- crash recovery (fail-stop path) --------------------
@@ -1445,7 +1292,7 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             &self.dist,
             arrays,
             self.app_progress,
-            Some(self.cfg.peer_timeout_seconds),
+            self.peer_timeout(),
         );
         self.cycles_since_ckpt = 0;
     }
@@ -1526,22 +1373,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         // Identical on every survivor (the holder's actual count equals
         // this by the refresh invariant).
         let restored_rows = old_dist.rows_of(dead_rel).len() * arrays.len();
-        let new_group = Group::new(survivors.clone(), self.wrank);
-        let node_loads: Vec<NodeLoad> = survivors
-            .iter()
-            .map(|&m| self.node_load(m, loads[m]))
-            .collect();
-        let w = self.effective_weights();
-        let new_dist = match self.cfg.balancer {
-            BalancerKind::RelativePower => relative_power(&w, &node_loads, 0),
-            BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
-                &w,
-                &node_loads,
-                &self.comm_model_for(new_group.size()),
-                0,
-                self.cfg.balance_floor,
-            ),
-        };
+        let new_dist = self.balance_over(&survivors, loads, 0);
+        let new_group = Group::new(survivors, self.wrank);
         let oc = redist::execute_recovery(
             self.t,
             self.wrank,
@@ -1559,18 +1392,11 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
 
         self.dead[dead_node] = true;
         self.silent_streak[dead_node] = 0;
-        self.known_members = survivors;
-        self.known_counts = new_dist.counts();
-        self.dist = new_dist;
-        self.is_removed = !new_group.contains(self.wrank);
-        self.active = new_group;
-        self.last_loads = loads.to_vec();
-        self.post_accum = vec![0.0; self.wsize];
-        self.post_count = 0;
+        self.commit(new_group, new_dist, loads);
+        self.reset_window();
         self.clear_streak = vec![0; self.wsize];
         self.timer = None;
         self.mode = Mode::Stable;
-        self.reset_ctrl_pipeline();
 
         // Rewind the application: progress returns to the restored
         // generation's step; the survivors replay the lost steps from
@@ -1660,26 +1486,82 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         self.ckpt.epoch()
     }
 
-    // ---------------- helpers -------------------------------------------
+    // ---------------- membership transitions ----------------------------
 
-    /// Load descriptor for world rank `m`: monitor reading plus the
-    /// configured per-node relative speed (heterogeneous clusters).
-    fn node_load(&self, m: usize, ncp: u32) -> NodeLoad {
-        NodeLoad {
-            ncp,
-            speed: self.cfg.speed_of(m),
+    /// Load descriptors of `members`: monitor reading plus the configured
+    /// per-node relative speed (heterogeneous clusters).
+    fn node_loads(&self, members: &[usize], loads: &[u32]) -> Vec<NodeLoad> {
+        members
+            .iter()
+            .map(|&m| NodeLoad {
+                ncp: loads[m],
+                speed: self.cfg.speed_of(m),
+            })
+            .collect()
+    }
+
+    /// The configured balancer's distribution of the measured row weights
+    /// over `members` under `loads` — every balance of every transition.
+    fn balance_over(&self, members: &[usize], loads: &[u32], min_rows: usize) -> Distribution {
+        let node_loads = self.node_loads(members, loads);
+        let w = self.effective_weights();
+        match self.cfg.balancer {
+            BalancerKind::RelativePower => relative_power(&w, &node_loads, min_rows),
+            BalancerKind::SuccessiveBalancing => successive_balance(
+                &w,
+                &node_loads,
+                &self.comm_model_for(members.len()),
+                min_rows,
+            ),
         }
     }
+
+    /// Moves every array from the current group and distribution to
+    /// `new_group`/`new_dist` (this rank's side of the collective).
+    fn redistribute(
+        &mut self,
+        new_group: &Group,
+        new_dist: &Distribution,
+        arrays: &mut [&mut dyn RedistArray],
+    ) -> RedistOutcome {
+        let oc = redist::execute_cached(
+            self.t,
+            self.wrank,
+            self.sched_cache.get_mut(),
+            &self.active,
+            &self.dist,
+            new_group,
+            new_dist,
+            &self.accesses,
+            arrays,
+        );
+        self.redist_seconds_total += oc.seconds;
+        oc
+    }
+
+    /// Makes a new membership current on this rank — group, distribution,
+    /// the view shipped to removed ranks, the load baseline — and starts
+    /// a fresh control-pipeline epoch: old in-flight samples and blobs
+    /// carry a stale tag and are never consumed.
+    fn commit(&mut self, group: Group, dist: Distribution, loads: &[u32]) {
+        self.known_members = group.members().to_vec();
+        self.known_counts = dist.counts();
+        self.is_removed = !group.contains(self.wrank);
+        self.active = group;
+        self.dist = dist;
+        self.last_loads = loads.to_vec();
+        self.ctrl_epoch += 1;
+        self.ctrl_sent = 0;
+        self.self_samples.clear();
+    }
+
+    // ---------------- helpers -------------------------------------------
 
     fn effective_weights(&self) -> Vec<f64> {
         match &self.row_weights {
             Some(w) if w.iter().sum::<f64>() > 0.0 => w.clone(),
             _ => vec![1.0; self.nrows],
         }
-    }
-
-    fn comm_model(&self) -> CommModel {
-        self.comm_model_for(self.active.size())
     }
 
     fn comm_model_for(&self, n_active: usize) -> CommModel {
@@ -1690,33 +1572,8 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             .sum();
         CommModel {
             blocking_recvs_per_cycle: recvs,
-            quantum: self.cfg.quantum_seconds,
+            quantum: QUANTUM_SECONDS,
             wait_factor: self.cfg.wait_factor,
-        }
-    }
-
-    fn balance(&self, loads: &[u32]) -> Distribution {
-        let node_loads: Vec<NodeLoad> = self
-            .active
-            .members()
-            .iter()
-            .map(|&m| self.node_load(m, loads[m]))
-            .collect();
-        let w = self.effective_weights();
-        let min_rows = if self.cfg.drop_policy == DropPolicy::Logical {
-            self.cfg.min_rows_logical
-        } else {
-            0
-        };
-        match self.cfg.balancer {
-            BalancerKind::RelativePower => relative_power(&w, &node_loads, min_rows),
-            BalancerKind::SuccessiveBalancing => successive_balance_with_floor(
-                &w,
-                &node_loads,
-                &self.comm_model(),
-                min_rows,
-                self.cfg.balance_floor,
-            ),
         }
     }
 
@@ -1773,170 +1630,78 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
         best.max(0.0)
     }
 
-    fn redistribute_in_place(
-        &mut self,
-        new_dist: &Distribution,
-        arrays: &mut [&mut dyn RedistArray],
-    ) -> RedistOutcome {
-        let oc = redist::execute_cached(
-            self.t,
-            self.wrank,
-            self.sched_cache.get_mut(),
-            &self.active,
-            &self.dist,
-            &self.active,
-            new_dist,
-            &self.accesses,
-            arrays,
-        );
-        self.redist_seconds_total += oc.seconds;
-        self.redist_count += 1;
-        self.dist = new_dist.clone();
-        self.known_counts = new_dist.counts();
-        oc
-    }
-
-    /// Starts a fresh control-pipeline epoch after a membership change:
-    /// old in-flight samples and blobs carry a stale tag and are never
-    /// consumed.
-    fn reset_ctrl_pipeline(&mut self) {
-        self.ctrl_epoch += 1;
-        self.ctrl_sent = 0;
-        self.self_samples.clear();
-    }
-
     // ---------------- removed-rank path ----------------------------------
 
-    /// Encodes the post-cycle status: membership and distribution counts,
-    /// plus (for a rank that is rejoining) the load vector and row
-    /// weights it needs to resynchronize its replicated state.
-    fn status_payload(&self, for_member: bool, loads: &[u32]) -> Vec<u8> {
-        let mut v: Vec<u64> = Vec::with_capacity(3 + self.known_members.len() * 2);
-        v.push(self.cycle);
-        v.push(self.known_members.len() as u64);
-        v.extend(self.known_members.iter().map(|&m| m as u64));
-        v.extend(self.known_counts.iter().map(|&c| c as u64));
-        v.push(self.ctrl_epoch);
-        let mut bytes = to_bytes(&v);
-        if for_member {
-            // Tail order: loads[wsize] ++ clear_streak[wsize] ++
-            // weights[nrows]. Shipping the streaks keeps the joiner's
-            // rejoin bookkeeping replicated — without them, a readmitted
-            // rank would disagree with the actives about which other
-            // removed node rejoins next.
-            let mut tail: Vec<f64> = loads.iter().map(|&l| f64::from(l)).collect();
-            tail.extend(self.clear_streak.iter().map(|&s| f64::from(s)));
-            tail.extend(self.effective_weights());
-            bytes.extend_from_slice(&to_bytes(&tail));
-        }
-        bytes
-    }
-
+    /// Sends this cycle's [`Status`] to each of `removed`; a node that is
+    /// in the membership (it is rejoining) also gets the resync tail.
     fn send_statuses(&self, removed: &[usize], loads: &[u32]) {
+        let mut status = Status {
+            cycle: self.cycle,
+            members: self.known_members.clone(),
+            counts: self.known_counts.clone(),
+            epoch: self.ctrl_epoch,
+            resync: None,
+        };
         for &n in removed {
-            let for_member = self.known_members.contains(&n);
-            self.t
-                .send_bytes(n, TAG_STATUS, self.status_payload(for_member, loads));
+            status.resync = self.known_members.contains(&n).then(|| Resync {
+                loads: loads.to_vec(),
+                clear_streak: self.clear_streak.clone(),
+                weights: self.effective_weights(),
+            });
+            self.t.send_bytes(n, TAG_STATUS, status.encode());
         }
     }
 
     fn removed_end_cycle(&mut self, arrays: &mut [&mut dyn RedistArray], report: &mut CycleReport) {
         let root = self.known_members[0];
-        let bytes = if self.cfg.failure_detection {
-            // Same self-eviction rule as the active blob receive: retry
-            // on a bare timeout (the root legitimately drifts while
-            // confirming a death), withdraw for good only on death
-            // evidence — the root's monitor unreadable from here.
-            let got = loop {
-                match self
-                    .t
-                    .recv_bytes_timeout(root, TAG_STATUS, self.cfg.peer_timeout_seconds)
-                {
-                    Ok(b) => break Some(b),
-                    Err(_) if self.t.dmpi_ps(root) == 0 => break None,
-                    Err(_) => continue,
-                }
-            };
-            match got {
-                Some(b) => b,
-                None => {
-                    self.self_evict();
-                    return;
-                }
-            }
-        } else {
-            self.t.recv_bytes(root, TAG_STATUS)
+        // Same self-eviction rule as the active blob receive.
+        let Some(bytes) = recv_unless_dead(self.t, root, TAG_STATUS, self.peer_timeout()) else {
+            self.self_evict();
+            return;
         };
-        let header_len = {
-            let nm = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-            8 * (3 + 2 * nm)
-        };
-        let v: Vec<u64> = from_bytes(&bytes[..header_len]);
-        let nm = v[1] as usize;
-        let members: Vec<usize> = v[2..2 + nm].iter().map(|&m| m as usize).collect();
-        let counts: Vec<usize> = v[2 + nm..2 + 2 * nm].iter().map(|&c| c as usize).collect();
+        let status = Status::decode(&bytes, self.wsize);
         // Track the control epoch so a rejoin resumes with aligned tags
-        // (the rejoin branch bumps it once, like the actives do).
-        self.ctrl_epoch = v[2 + 2 * nm];
-
-        if members.contains(&self.wrank) {
-            // Resynchronize the replicated decision state from the tail
-            // the root appended for us: the load vector and row weights
-            // the actives balanced against.
-            let tail: Vec<f64> = from_bytes(&bytes[header_len..]);
-            assert_eq!(
-                tail.len(),
-                2 * self.wsize + self.nrows,
-                "malformed rejoin status"
-            );
-            self.last_loads = tail[..self.wsize].iter().map(|&x| x as u32).collect();
-            self.clear_streak = tail[self.wsize..2 * self.wsize]
-                .iter()
-                .map(|&x| x as u32)
-                .collect();
-            self.row_weights = Some(tail[2 * self.wsize..].to_vec());
-            self.mode = Mode::Stable;
-
-            // Rejoin: participate in the redistribution the actives are
-            // running right now, as a receiver.
-            let old_group = Group::new(self.known_members.clone(), self.wrank);
-            let old_dist = Distribution::block_from_counts(&self.known_counts);
-            let new_group = Group::new(members.clone(), self.wrank);
-            let new_dist = Distribution::block_from_counts(&counts);
-            let oc = redist::execute_cached(
-                self.t,
-                self.wrank,
-                self.sched_cache.get_mut(),
-                &old_group,
-                &old_dist,
-                &new_group,
-                &new_dist,
-                &self.accesses,
-                arrays,
-            );
-            self.redist_seconds_total += oc.seconds;
-            self.is_removed = false;
-            self.active = new_group;
-            self.dist = new_dist;
-            self.reset_ctrl_pipeline();
-            if self.wrank >= self.seed {
-                let rel = self.active.rel().expect("joiner is in the new group");
-                self.note(RuntimeEvent::NodeAdmitted {
-                    cycle: self.cycle,
-                    node: self.wrank,
-                    rows: self.dist.rows_of(rel).len(),
-                });
-                report.admitted = Some(self.wrank);
-            } else {
-                self.note(RuntimeEvent::NodeRejoined {
-                    cycle: self.cycle,
-                    node: self.wrank,
-                });
-                report.rejoined = Some(self.wrank);
-            }
+        // (the commit bumps it once, like the actives do).
+        self.ctrl_epoch = status.epoch;
+        if !status.members.contains(&self.wrank) {
+            self.known_members = status.members;
+            self.known_counts = status.counts;
+            return;
         }
-        self.known_members = members;
-        self.known_counts = counts;
+
+        // Resynchronize the replicated decision state from the tail the
+        // root appended for us: the load vector and row weights the
+        // actives balanced against.
+        let resync = status.resync.expect("malformed rejoin status");
+        assert_eq!(resync.weights.len(), self.nrows, "malformed rejoin status");
+        self.clear_streak = resync.clear_streak;
+        self.row_weights = Some(resync.weights);
+        self.mode = Mode::Stable;
+
+        // Rejoin: participate in the redistribution the actives are
+        // running right now, as a receiver, from the view this rank kept
+        // while removed.
+        self.active = Group::new(self.known_members.clone(), self.wrank);
+        self.dist = Distribution::block_from_counts(&self.known_counts);
+        let new_group = Group::new(status.members, self.wrank);
+        let new_dist = Distribution::block_from_counts(&status.counts);
+        self.redistribute(&new_group, &new_dist, arrays);
+        self.commit(new_group, new_dist, &resync.loads);
+        if self.wrank >= self.seed {
+            let rel = self.active.rel().expect("joiner is in the new group");
+            self.note(RuntimeEvent::NodeAdmitted {
+                cycle: self.cycle,
+                node: self.wrank,
+                rows: self.dist.rows_of(rel).len(),
+            });
+            report.admitted = Some(self.wrank);
+        } else {
+            self.note(RuntimeEvent::NodeRejoined {
+                cycle: self.cycle,
+                node: self.wrank,
+            });
+            report.rejoined = Some(self.wrank);
+        }
     }
 
     /// Refreshes the DRSD ghost rows of `array` from their current
@@ -1960,43 +1725,21 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             self.t.send_bytes(*dst, tag, payload);
         }
         for (src, from_src) in &sched.ghost_recvs[array] {
-            if self.cfg.failure_detection {
-                // A dead neighbor must not hang the exchange — but a
-                // merely *slow* neighbor must not corrupt it either: its
-                // payload is coming, and abandoning it would leave this
-                // and (because the message stays queued) every later
-                // exchange one cycle stale. So a timeout alone only
-                // re-arms the wait; the exchange gives the ghost rows up
-                // as stale *only* on the same evidence the detector
-                // treats as death — the peer's monitor reading dead. The
-                // detector then confirms within cycles and recovery rolls
-                // everything back past the stale reads.
-                let payload = loop {
-                    match self
-                        .t
-                        .recv_bytes_timeout(*src, tag, self.cfg.peer_timeout_seconds)
-                    {
-                        Ok(p) => break Some(p),
-                        Err(_) if self.t.dmpi_ps(*src) == 0 => break None,
-                        Err(_) => continue,
-                    }
-                };
-                match payload {
-                    Some(p) => arr.unpack_rows(from_src, &p),
-                    None => {
-                        if obs::enabled() {
-                            obs::instant(
-                                "runtime",
-                                "ghost-timeout",
-                                self.t.now_ns(),
-                                vec![("src".to_string(), Json::UInt(*src as u64))],
-                            );
-                        }
-                    }
-                }
-            } else {
-                let payload = self.t.recv_bytes(*src, tag);
-                arr.unpack_rows(from_src, &payload);
+            // A dead neighbor must not hang the exchange — but a merely
+            // slow one must not corrupt it either: abandoning its payload
+            // would leave this and (the message stays queued) every later
+            // exchange one cycle stale. So the ghost rows are given up as
+            // stale only on death evidence; the detector then confirms
+            // within cycles and recovery rolls back past the stale reads.
+            match recv_unless_dead(self.t, *src, tag, self.peer_timeout()) {
+                Some(p) => arr.unpack_rows(from_src, &p),
+                None if obs::enabled() => obs::instant(
+                    "runtime",
+                    "ghost-timeout",
+                    self.t.now_ns(),
+                    vec![("src".to_string(), Json::UInt(*src as u64))],
+                ),
+                None => {}
             }
         }
     }
@@ -2018,24 +1761,6 @@ impl<'a, T: HostMeters> DynMpi<'a, T> {
             return from_bytes(&self.t.recv_bytes(root, TAG_GLOBAL));
         }
         let r = self.t.allreduce_sum_f64(&self.active, data);
-        if self.active.rel() == Some(0) {
-            for n in self.removed_nodes() {
-                self.t.send_bytes(n, TAG_GLOBAL, to_bytes(&r));
-            }
-        }
-        r
-    }
-
-    /// Max-allreduce with the same removed-aware semantics.
-    pub fn allreduce_max(&self, data: &[f64]) -> Vec<f64> {
-        if self.evicted {
-            return vec![0.0; data.len()];
-        }
-        if self.is_removed {
-            let root = self.known_members[0];
-            return from_bytes(&self.t.recv_bytes(root, TAG_GLOBAL));
-        }
-        let r = self.t.allreduce_max_f64(&self.active, data);
         if self.active.rel() == Some(0) {
             for n in self.removed_nodes() {
                 self.t.send_bytes(n, TAG_GLOBAL, to_bytes(&r));
@@ -2811,7 +2536,7 @@ mod tests {
                 src: Some(src),
                 tag,
             };
-            let sample = tag >= TAG_CTRL_UP && (tag - TAG_CTRL_UP) % 4 == 0;
+            let sample = tag >= TAG_CTRL_UP && (tag - TAG_CTRL_UP).is_multiple_of(4);
             loop {
                 if sample && self.stalled[src].load(Ordering::SeqCst) {
                     self.stalls.fetch_add(1, Ordering::SeqCst);
